@@ -11,22 +11,85 @@
 //! sequence once, snapshot the generator state at regular intervals, and
 //! hand each worker a snapshot to resume from. The snapshot table depends
 //! only on `d` (masks are XOR-applied to any client's seed), so it is
-//! built once and reused across authentications; the paper excludes this
-//! one-time cost from its timings and so do we.
+//! built once and reused across authentications ([`ChaseTable::shared`]);
+//! the paper excludes this one-time cost from its timings and so do we.
 //!
 //! This implementation follows Chase's published algorithm via the classic
-//! `twiddle` formulation, with the combination tracked as a 256-bit mask.
+//! `twiddle` formulation, word-parallel. Twiddle keeps a workspace
+//! `p[0..=n+1]` whose interior entries it only ever tests for sign
+//! (`> 0`, `== 0`, `== -1`); positive values are copied but never
+//! compared, and `p[0] = n+1`, `p[n+1] = -2` are constant sentinels. So
+//! the whole state is two 256-bit maps over `p[1..=n]`: "positive" —
+//! which is exactly the current combination mask — and "zero" (anything
+//! else is `-1`). Every scan of the workspace becomes a `trailing_zeros`
+//! over at most four words, every `-1` fill a masked word store, and the
+//! state is a fixed-size [`Copy`] value, so snapshots and checkpoints cost
+//! a 72-byte copy.
+
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::binomial::binomial;
 use rbc_bits::U256;
 
+/// Bit maps over the 256 positions; bit `q` describes twiddle's `p[q+1]`.
+type Words = [u64; 4];
+
+/// The bits of word `k` at positions `from` and up: none in the words
+/// below `from / 64`, all in the words above it.
+#[inline(always)]
+fn from_mask(from: usize, k: usize) -> u64 {
+    u64::MAX.checked_shl(from.saturating_sub(64 * k) as u32).unwrap_or(0)
+}
+
+/// Index of the first set bit of `w ^ flip` at or after `from` (bits past
+/// 255 read as zero), or 256 when there is none. `flip = !0` finds the
+/// first clear bit of `w` instead.
+#[inline(always)]
+fn first_from(w: &Words, flip: u64, from: usize) -> usize {
+    let mut k = from / 64;
+    if k >= 4 {
+        return 256;
+    }
+    let mut word = (w[k] ^ flip) & (u64::MAX << (from % 64));
+    loop {
+        if word != 0 {
+            return k * 64 + word.trailing_zeros() as usize;
+        }
+        k += 1;
+        if k == 4 {
+            return 256;
+        }
+        word = w[k] ^ flip;
+    }
+}
+
+/// Clears bits `lo..hi` of `w`.
+#[inline(always)]
+fn clear_range(w: &mut Words, lo: usize, hi: usize) {
+    for (k, word) in w.iter_mut().enumerate() {
+        *word &= !(from_mask(lo, k) & !from_mask(hi, k));
+    }
+}
+
+#[inline(always)]
+fn bit(w: &Words, q: usize) -> bool {
+    (w[q / 64] >> (q % 64)) & 1 == 1
+}
+
+#[inline(always)]
+fn flip(w: &mut Words, q: usize) {
+    w[q / 64] ^= 1 << (q % 64);
+}
+
 /// Generator state for Chase's sequence of `m`-combinations of `n` items.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChaseState {
+    /// Twiddle's `p[q+1] > 0` — the current combination.
+    mask: Words,
+    /// Twiddle's `p[q+1] == 0`.
+    zero: Words,
     n: u16,
-    /// Workspace array `p[0..n+2]` of the twiddle algorithm.
-    p: Vec<i32>,
-    mask: U256,
     exhausted: bool,
 }
 
@@ -37,27 +100,21 @@ impl ChaseState {
     pub fn new(n: u16, m: u16) -> Self {
         assert!(n <= 256, "at most 256 positions");
         assert!(m <= n, "m must be at most n");
-        let n_us = n as usize;
-        let m_i = m as i32;
-        let n_i = n as i32;
-        let mut p = vec![0i32; n_us + 2];
-        p[0] = n_i + 1;
-        let start = n_us - m as usize + 1;
-        for (i, pi) in p.iter_mut().enumerate().take(n_us + 1).skip(start) {
-            *pi = i as i32 + m_i - n_i;
+        let top = (n - m) as usize;
+        // For m = 0 twiddle also sets `p[1] = 1`, but that state only
+        // ever reaches its exhaustion step, which the empty mask takes.
+        ChaseState {
+            mask: U256::from_set_bits(top..n as usize).limbs(),
+            zero: U256::from_set_bits(0..top).limbs(),
+            n,
+            exhausted: false,
         }
-        p[n_us + 1] = -2;
-        if m == 0 {
-            p[1] = 1;
-        }
-        let mask = U256::from_set_bits((n_us - m as usize..n_us).collect::<Vec<_>>());
-        ChaseState { n, p, mask, exhausted: false }
     }
 
     /// The current combination as a bit mask.
     #[inline]
     pub fn mask(&self) -> U256 {
-        self.mask
+        U256::from_limbs(self.mask)
     }
 
     /// Number of positions the sequence draws from.
@@ -74,64 +131,67 @@ impl ChaseState {
     /// is exhausted (the current mask is then no longer meaningful).
     ///
     /// Exactly two mask bits change on every successful step: one position
-    /// enters the combination and one leaves.
+    /// enters the combination and one leaves. Comments name twiddle's
+    /// `p[]` entries by their mask position, one less than twiddle's index.
+    #[inline]
     pub fn advance(&mut self) -> bool {
         if self.exhausted {
             return false;
         }
-        let p = &mut self.p;
-        let set_pos;
-        let clear_pos;
-
-        let mut j = 1usize;
-        while p[j] <= 0 {
-            j += 1;
+        // The first positive entry; none only for m = 0, whose single
+        // combination has been produced.
+        let j = first_from(&self.mask, 0, 0);
+        if j == 256 {
+            self.exhausted = true;
+            return false;
         }
-        if p[j - 1] == 0 {
-            for i in (2..j).rev() {
-                p[i] = -1;
-            }
-            p[j] = 0;
-            p[1] = 1;
-            set_pos = 0;
-            clear_pos = j - 1;
+        let n = self.n as usize;
+        let (set_pos, clear_pos);
+        if j > 0 && bit(&self.zero, j - 1) {
+            // p[j-1] == 0: p[1..j] = -1, p[j] = 0, p[0] = 1.
+            clear_range(&mut self.zero, 0, j);
+            flip(&mut self.zero, j);
+            (set_pos, clear_pos) = (0, j);
         } else {
-            if j > 1 {
-                p[j - 1] = 0;
+            if j > 0 {
+                // p[j-1] = 0 (it was -1).
+                flip(&mut self.zero, j - 1);
             }
-            loop {
-                j += 1;
-                if p[j] <= 0 {
-                    break;
-                }
+            // Twiddle's most common step by far (~97% of them at d = 3
+            // over 256 positions): a positive run of one at j followed by
+            // a -1, so the lowest element moves up one place without
+            // either scan below.
+            let up = j + 1;
+            if up < n && !bit(&self.mask, up) && !bit(&self.zero, up) {
+                flip(&mut self.mask, j);
+                flip(&mut self.mask, up);
+                return true;
             }
-            let k = j - 1;
-            let mut i = j;
-            while p[i] == 0 {
-                p[i] = -1;
-                i += 1;
+            // The first non-positive entry past the positive run at j,
+            // and the first non-zero one from there; the zeros between
+            // become -1.
+            let j = first_from(&self.mask, !0, j);
+            let i = first_from(&self.zero, !0, j);
+            clear_range(&mut self.zero, j, i);
+            if i == n {
+                // Reached the `p[n] = -2` sentinel.
+                self.exhausted = true;
+                return false;
             }
-            if p[i] == -1 {
-                p[i] = p[k];
-                set_pos = i - 1;
-                clear_pos = k - 1;
-                p[k] = -1;
+            if bit(&self.mask, i) {
+                // p[i] > 0: p[j] = p[i], p[i] = 0.
+                flip(&mut self.zero, i);
+                (set_pos, clear_pos) = (j, i);
             } else {
-                if i == p[0] as usize {
-                    self.exhausted = true;
-                    return false;
-                }
-                p[j] = p[i];
-                p[i] = 0;
-                set_pos = j - 1;
-                clear_pos = i - 1;
+                // p[i] == -1: p[i] = p[j-1], p[j-1] = -1.
+                (set_pos, clear_pos) = (i, j - 1);
             }
         }
 
-        debug_assert!(!self.mask.bit(set_pos), "set position already present");
-        debug_assert!(self.mask.bit(clear_pos), "clear position absent");
-        self.mask.flip_bit_in_place(set_pos);
-        self.mask.flip_bit_in_place(clear_pos);
+        debug_assert!(!bit(&self.mask, set_pos), "set position already present");
+        debug_assert!(bit(&self.mask, clear_pos), "clear position absent");
+        flip(&mut self.mask, set_pos);
+        flip(&mut self.mask, clear_pos);
         true
     }
 }
@@ -174,22 +234,34 @@ impl ChaseStream {
     /// is what lets a supervisor re-dispatch only the unswept remainder
     /// of a failed shard.
     pub fn snapshot(&self) -> (ChaseState, u128) {
-        (self.state.clone(), self.remaining)
+        (self.state, self.remaining)
     }
 
     /// Produces the next mask, advancing the underlying generator.
     #[inline]
     pub fn next_mask(&mut self) -> Option<U256> {
-        if self.remaining == 0 {
-            return None;
+        let mut one = [U256::ZERO];
+        (self.next_batch(&mut one) == 1).then_some(one[0])
+    }
+
+    /// Fills `out` from the front with the next masks and returns how many
+    /// were written. Fewer than `out.len()` only when the stream runs out
+    /// (then 0 forever after).
+    #[inline]
+    pub fn next_batch(&mut self, out: &mut [U256]) -> usize {
+        let want = usize::try_from(self.remaining).map_or(out.len(), |r| r.min(out.len()));
+        for (n, slot) in out[..want].iter_mut().enumerate() {
+            *slot = self.state.mask();
+            // Step past the mask just written unless it ends the range.
+            let last = n + 1 == want && self.remaining == want as u128;
+            if !last && !self.state.advance() {
+                // The caller asked for more masks than the sequence holds.
+                self.remaining = 0;
+                return n + 1;
+            }
         }
-        self.remaining -= 1;
-        let out = self.state.mask();
-        if self.remaining > 0 && !self.state.advance() {
-            // The caller asked for more masks than the sequence holds.
-            self.remaining = 0;
-        }
-        Some(out)
+        self.remaining -= want as u128;
+        want
     }
 }
 
@@ -223,7 +295,8 @@ impl ChaseTable {
     /// workloads").
     ///
     /// Cost: one full sequential enumeration of `C(256, d)` states. Build
-    /// it once per `d` and reuse across clients.
+    /// it once per `d` and reuse across clients — [`ChaseTable::shared`]
+    /// does that for the whole process.
     pub fn build(d: u32, workers: usize) -> Self {
         assert!(workers > 0, "need at least one worker");
         let total = binomial(256, d);
@@ -237,7 +310,7 @@ impl ChaseTable {
             let end = total * (w + 1) / workers_u;
             if start >= total || start == end {
                 counts.push(0);
-                snapshots.push(st.clone());
+                snapshots.push(st);
                 continue;
             }
             while consumed < start {
@@ -245,10 +318,27 @@ impl ChaseTable {
                 debug_assert!(ok, "sequence exhausted prematurely");
                 consumed += 1;
             }
-            snapshots.push(st.clone());
+            snapshots.push(st);
             counts.push(end - start);
         }
         ChaseTable { snapshots, counts, d }
+    }
+
+    /// The process-wide table for `(d, workers)`: built by the first
+    /// caller, then shared by every engine, pool and planner that asks
+    /// for the same key — the paper's table "built once and reused
+    /// across authentications".
+    pub fn shared(d: u32, workers: usize) -> Arc<ChaseTable> {
+        shared_tables()
+            .entry((d, workers))
+            .or_insert_with(|| Arc::new(ChaseTable::build(d, workers)))
+            .clone()
+    }
+
+    /// The process-wide table for `(d, workers)` if [`ChaseTable::shared`]
+    /// has built it, without building it.
+    pub fn cached(d: u32, workers: usize) -> Option<Arc<ChaseTable>> {
+        shared_tables().get(&(d, workers)).cloned()
     }
 
     /// Number of workers the table was built for.
@@ -268,14 +358,189 @@ impl ChaseTable {
 
     /// A resumable stream for worker `w`.
     pub fn stream(&self, w: usize) -> ChaseStream {
-        ChaseStream::from_snapshot(self.snapshots[w].clone(), self.counts[w])
+        ChaseStream::from_snapshot(self.snapshots[w], self.counts[w])
     }
+}
+
+/// The cache behind [`ChaseTable::shared`], one table per `(d, workers)`.
+type Tables = HashMap<(u32, usize), Arc<ChaseTable>>;
+
+fn shared_tables() -> MutexGuard<'static, Tables> {
+    static TABLES: OnceLock<Mutex<Tables>> = OnceLock::new();
+    // A build that panicked inserted nothing, so the map is intact.
+    TABLES.get_or_init(Default::default).lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    /// Chase's twiddle with its full `i32` workspace, as published — the
+    /// reference model the word-parallel [`ChaseState`] must match step
+    /// for step.
+    struct Twiddle {
+        p: Vec<i32>,
+        mask: U256,
+        exhausted: bool,
+    }
+
+    impl Twiddle {
+        fn new(n: u16, m: u16) -> Self {
+            let (n_us, m_i, n_i) = (n as usize, m as i32, n as i32);
+            let mut p = vec![0i32; n_us + 2];
+            p[0] = n_i + 1;
+            let start = n_us - m as usize + 1;
+            for (i, pi) in p.iter_mut().enumerate().take(n_us + 1).skip(start) {
+                *pi = i as i32 + m_i - n_i;
+            }
+            p[n_us + 1] = -2;
+            if m == 0 {
+                p[1] = 1;
+            }
+            let mask = U256::from_set_bits(n_us - m as usize..n_us);
+            Twiddle { p, mask, exhausted: false }
+        }
+
+        fn advance(&mut self) -> bool {
+            if self.exhausted {
+                return false;
+            }
+            let p = &mut self.p;
+            let set_pos;
+            let clear_pos;
+
+            let mut j = 1usize;
+            while p[j] <= 0 {
+                j += 1;
+            }
+            if p[j - 1] == 0 {
+                for i in (2..j).rev() {
+                    p[i] = -1;
+                }
+                p[j] = 0;
+                p[1] = 1;
+                set_pos = 0;
+                clear_pos = j - 1;
+            } else {
+                if j > 1 {
+                    p[j - 1] = 0;
+                }
+                loop {
+                    j += 1;
+                    if p[j] <= 0 {
+                        break;
+                    }
+                }
+                let k = j - 1;
+                let mut i = j;
+                while p[i] == 0 {
+                    p[i] = -1;
+                    i += 1;
+                }
+                if p[i] == -1 {
+                    p[i] = p[k];
+                    set_pos = i - 1;
+                    clear_pos = k - 1;
+                    p[k] = -1;
+                } else {
+                    if i == p[0] as usize {
+                        self.exhausted = true;
+                        return false;
+                    }
+                    p[j] = p[i];
+                    p[i] = 0;
+                    set_pos = j - 1;
+                    clear_pos = i - 1;
+                }
+            }
+            self.mask.flip_bit_in_place(set_pos);
+            self.mask.flip_bit_in_place(clear_pos);
+            true
+        }
+    }
+
+    /// Steps `ChaseState` and the reference in lockstep for up to `steps`
+    /// advances (or to exhaustion), comparing every mask and every
+    /// `advance` return value; returns the number of masks compared.
+    fn assert_matches_reference(n: u16, m: u16, steps: u128) -> u128 {
+        let mut fast = ChaseState::new(n, m);
+        let mut reference = Twiddle::new(n, m);
+        let mut masks = 1u128;
+        loop {
+            assert_eq!(fast.mask(), reference.mask, "({n}, {m}) mask {masks}");
+            if masks > steps {
+                return masks;
+            }
+            let more = reference.advance();
+            assert_eq!(fast.advance(), more, "({n}, {m}) advance after mask {masks}");
+            if !more {
+                assert!(fast.is_exhausted());
+                assert!(!fast.advance(), "exhaustion latches");
+                return masks;
+            }
+            masks += 1;
+        }
+    }
+
+    #[test]
+    fn full_256_sequences_match_the_reference_twiddle() {
+        for d in 1..=3u16 {
+            let masks = assert_matches_reference(256, d, u128::MAX);
+            assert_eq!(masks, binomial(256, d as u32), "d={d}");
+        }
+    }
+
+    #[test]
+    fn shared_tables_are_built_once_per_key() {
+        let a = ChaseTable::shared(1, 3);
+        let b = ChaseTable::shared(1, 3);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a, &ChaseTable::cached(1, 3).unwrap()));
+        assert!(!Arc::ptr_eq(&a, &ChaseTable::shared(1, 2)));
+        assert_eq!((a.distance(), a.workers()), (1, 3));
+    }
+
+    #[test]
+    fn next_batch_stops_exactly_at_every_boundary() {
+        // Ranges ending mid-sequence, at the sequence's end and past it,
+        // with batches that divide them, straddle them and exceed them.
+        for (state, count) in [
+            (ChaseState::new(10, 3), 120),
+            (ChaseState::new(10, 3), 50),
+            (ChaseState::new(10, 3), 500),
+            (ChaseState::new(6, 0), 1),
+        ] {
+            // The range stepped by hand: the generator never advances
+            // past the range's last mask.
+            let mut last = state;
+            let mut expect = vec![last.mask()];
+            while (expect.len() as u128) < count && last.advance() {
+                expect.push(last.mask());
+            }
+            for batch in [1usize, 7, 50, 120, 121, 1000] {
+                let mut stream = ChaseStream::from_snapshot(state, count);
+                let mut buf = vec![U256::ZERO; batch];
+                let mut got = Vec::new();
+                loop {
+                    let n = stream.next_batch(&mut buf);
+                    got.extend_from_slice(&buf[..n]);
+                    if n < batch {
+                        break;
+                    }
+                    // A full refill leaves the next mask as the resume point.
+                    if let Some(next) = expect.get(got.len()) {
+                        assert_eq!(stream.state().mask(), *next);
+                    }
+                }
+                assert_eq!(got, expect, "count={count}, batch={batch}");
+                assert_eq!(*stream.state(), last, "count={count}, batch={batch}");
+                assert_eq!(stream.remaining(), 0);
+                assert_eq!(stream.next_batch(&mut buf), 0);
+                assert_eq!(stream.next_mask(), None);
+            }
+        }
+    }
 
     #[test]
     fn enumerates_exactly_c_n_m_distinct_combinations() {
@@ -406,6 +671,18 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The word-parallel state yields the reference twiddle's
+            /// masks and `advance` results for any `(n ≤ 64, m ≤ 6)`,
+            /// over the first 20 000 steps (the whole sequence when it is
+            /// shorter).
+            #[test]
+            fn matches_the_reference_twiddle(n in 1u16..=64, m in 0u16..=6) {
+                let m = m.min(n);
+                let total = binomial_checked(n as u64, m as u64).unwrap();
+                let masks = assert_matches_reference(n, m, 20_000);
+                prop_assert_eq!(masks, total.min(20_001));
+            }
 
             /// Splitting any `(n, m)` Chase range at an arbitrary
             /// checkpoint and resuming covers exactly the seed set of an

@@ -121,7 +121,7 @@ impl MaskStream {
         match self {
             MaskStream::Gosper(s) => fill!(s),
             MaskStream::Alg515(s) => fill!(s),
-            MaskStream::Chase(s) => fill!(s),
+            MaskStream::Chase(s) => s.next_batch(out),
         }
     }
 
@@ -155,10 +155,9 @@ pub fn partition(total: u128, parts: usize) -> Vec<core::ops::Range<u128>> {
 /// Plans one stream per worker over the weight-`d` space using iteration
 /// method `kind`.
 ///
-/// For [`SeedIterKind::Chase`] this builds (and discards) a fresh snapshot
-/// table — prefer [`plan_streams_with_table`] with a cached
-/// [`ChaseTable`] when authenticating many clients, which is what the
-/// paper's measured configuration does.
+/// For [`SeedIterKind::Chase`] the streams resume from the process-wide
+/// snapshot table ([`ChaseTable::shared`]), built on the first call for
+/// `(d, workers)`.
 pub fn plan_streams(kind: SeedIterKind, d: u32, workers: usize) -> Vec<MaskStream> {
     match kind {
         SeedIterKind::Gosper => partition(binomial(256, d), workers)
@@ -169,10 +168,7 @@ pub fn plan_streams(kind: SeedIterKind, d: u32, workers: usize) -> Vec<MaskStrea
             .into_iter()
             .map(|r| MaskStream::Alg515(Alg515Stream::from_rank_range(d, r.start, r.end)))
             .collect(),
-        SeedIterKind::Chase => {
-            let table = ChaseTable::build(d, workers);
-            plan_streams_with_table(&table)
-        }
+        SeedIterKind::Chase => plan_streams_with_table(&ChaseTable::shared(d, workers)),
     }
 }
 

@@ -155,9 +155,10 @@ pub trait SearchBackend: Send + Sync {
     }
 }
 
-/// The host CPU engine behind the trait: builds a [`SearchEngine`] over
-/// the runtime-dispatched hash derivation, exactly as the CA has always
-/// done — same batched lane kernels, same prefix prescreen.
+/// The host CPU engine behind the trait: each submission runs a fresh
+/// [`SearchEngine`] over the runtime-dispatched hash derivation — batched
+/// lane kernels, prefix prescreen — resuming from the process-wide Chase
+/// tables ([`rbc_comb::ChaseTable::shared`]), so no submission rebuilds one.
 #[derive(Clone, Debug)]
 pub struct CpuBackend {
     cfg: EngineConfig,
@@ -412,6 +413,22 @@ mod tests {
 
     fn job_for(algo: HashAlgo, client: &U256, base: &U256, max_d: u32) -> SearchJob {
         SearchJob::new(algo, algo.digest_seed(client), *base, max_d)
+    }
+
+    #[test]
+    fn cpu_submits_share_one_cached_chase_table() {
+        let mut rng = StdRng::seed_from_u64(91);
+        let base = U256::random(&mut rng);
+        let backend = CpuBackend::new(EngineConfig { threads: 3, ..Default::default() });
+        let mut tables = Vec::new();
+        for _ in 0..2 {
+            // A client at distance 2: the search has to sweep d = 2.
+            let client = base.random_at_distance(2, &mut rng);
+            let report = backend.submit(&job_for(HashAlgo::Sha3_256, &client, &base, 2));
+            assert_eq!(report.outcome, Outcome::Found { seed: client, distance: 2 });
+            tables.push(rbc_comb::ChaseTable::cached(2, 3).expect("submit caches the d=2 table"));
+        }
+        assert!(Arc::ptr_eq(&tables[0], &tables[1]), "the second submit reused the table");
     }
 
     #[test]

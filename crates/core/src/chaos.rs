@@ -411,7 +411,7 @@ mod tests {
         // only a re-dispatched remainder can recover the find.
         let table = ChaseTable::build(2, 4);
         let spec = ShardSpec::plan(&table, 0).remove(1);
-        let mut stream = rbc_comb::ChaseStream::from_snapshot(spec.state.clone(), spec.count);
+        let mut stream = rbc_comb::ChaseStream::from_snapshot(spec.state, spec.count);
         let mut mask = stream.next_mask().unwrap();
         for _ in 0..(3 * spec.count / 4) {
             mask = stream.next_mask().unwrap();

@@ -10,7 +10,7 @@
 //! is found first.
 //!
 //! **The hot path is batched**: each worker refills a mask buffer
-//! ([`MaskStream::next_batch`], one dynamic dispatch per refill), XORs the
+//! ([`rbc_comb::MaskStream::next_batch`], one dynamic dispatch per refill), XORs the
 //! batch into candidate seeds, and pushes them through the derivation's
 //! batch entry points — for hash derivations these are the multi-lane
 //! interleaved kernels of `rbc_hash::lanes`. Hash targets are additionally
@@ -31,14 +31,13 @@
 //! ([`EngineConfig::check_interval`]) to reproduce the §4.4 ablation,
 //! with an effective interval of `max(check_interval, batch)`.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use rbc_bits::U256;
-use rbc_comb::{partition, Alg515Stream, ChaseTable, GosperStream, MaskStream, SeedIterKind};
+use rbc_comb::{plan_streams, ChaseTable, SeedIterKind};
 use rbc_telemetry::{Counter, Registry};
 
 use crate::batch::BatchPolicy;
@@ -229,12 +228,12 @@ const FOUND: u8 = 1;
 const EXPIRED: u8 = 2;
 
 /// The reusable search engine. Construction is cheap; Chase snapshot
-/// tables are built lazily per `(d, threads)` and cached (the paper's
-/// "loaded into GPU memory once and used to authenticate all clients").
+/// tables come from the process-wide cache ([`ChaseTable::shared`]),
+/// built lazily on first use per `(d, threads)` (the paper's "loaded into
+/// GPU memory once and used to authenticate all clients").
 pub struct SearchEngine<D: Derive> {
     derive: D,
     cfg: EngineConfig,
-    chase_cache: RwLock<HashMap<(u32, usize), ChaseTable>>,
     telemetry: Option<EngineTelemetry>,
     clock: ClockHandle,
 }
@@ -242,13 +241,7 @@ pub struct SearchEngine<D: Derive> {
 impl<D: Derive> SearchEngine<D> {
     /// Creates an engine with the given derivation and configuration.
     pub fn new(derive: D, cfg: EngineConfig) -> Self {
-        SearchEngine {
-            derive,
-            cfg,
-            chase_cache: RwLock::new(HashMap::new()),
-            telemetry: None,
-            clock: wall_clock(),
-        }
+        SearchEngine { derive, cfg, telemetry: None, clock: wall_clock() }
     }
 
     /// Attaches shared search-progress counters; see [`EngineTelemetry`].
@@ -284,33 +277,7 @@ impl<D: Derive> SearchEngine<D> {
         }
         let threads = self.cfg.effective_threads();
         for d in 0..=max_d {
-            self.chase_table(d, threads);
-        }
-    }
-
-    fn chase_table(&self, d: u32, threads: usize) -> ChaseTable {
-        if let Some(t) = self.chase_cache.read().get(&(d, threads)) {
-            return t.clone();
-        }
-        let built = ChaseTable::build(d, threads);
-        self.chase_cache.write().insert((d, threads), built.clone());
-        built
-    }
-
-    fn streams_for(&self, d: u32, threads: usize) -> Vec<MaskStream> {
-        match self.cfg.iter {
-            SeedIterKind::Gosper => partition(rbc_comb::binomial(256, d), threads)
-                .into_iter()
-                .map(|r| MaskStream::Gosper(GosperStream::from_rank_range(d, r.start, r.end)))
-                .collect(),
-            SeedIterKind::Alg515 => partition(rbc_comb::binomial(256, d), threads)
-                .into_iter()
-                .map(|r| MaskStream::Alg515(Alg515Stream::from_rank_range(d, r.start, r.end)))
-                .collect(),
-            SeedIterKind::Chase => {
-                let table = self.chase_table(d, threads);
-                (0..threads).map(|w| MaskStream::Chase(table.stream(w))).collect()
-            }
+            ChaseTable::shared(d, threads);
         }
     }
 
@@ -378,7 +345,7 @@ impl<D: Derive> SearchEngine<D> {
             }
 
             let d_start = clock.now();
-            let streams = self.streams_for(d, threads);
+            let streams = plan_streams(self.cfg.iter, d, threads);
             // One policy resolution per distance: the batch size every
             // worker at this distance uses.
             let batch = self.cfg.batch.resolve(d, threads);
@@ -811,7 +778,7 @@ mod tests {
     fn prepare_caches_chase_tables() {
         let eng = engine(SearchMode::EarlyExit, SeedIterKind::Chase);
         eng.prepare(2);
-        assert!(eng.chase_cache.read().contains_key(&(2, 4)));
+        assert!(ChaseTable::cached(2, 4).is_some());
         // Search still works from the cache.
         let base = U256::from_u64(2);
         let target = Sha3Fixed.digest_seed(&base);

@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use rbc_bits::U256;
 use rbc_comb::ChaseTable;
 use rbc_hash::HashAlgo;
@@ -394,7 +394,6 @@ pub struct SupervisedPool {
     metrics: PoolMetrics,
     tracer: Option<Arc<Tracer>>,
     clock: ClockHandle,
-    chase_cache: RwLock<HashMap<(u32, usize), ChaseTable>>,
     rr: AtomicUsize,
     next_shard: AtomicU64,
     next_attempt: AtomicU64,
@@ -447,7 +446,6 @@ impl SupervisedPool {
             metrics,
             tracer: None,
             clock,
-            chase_cache: RwLock::new(HashMap::new()),
             rr: AtomicUsize::new(0),
             next_shard: AtomicU64::new(0),
             next_attempt: AtomicU64::new(0),
@@ -484,22 +482,6 @@ impl SupervisedPool {
     pub fn into_dispatcher(self, cfg: DispatcherConfig) -> Dispatcher {
         let clock = self.clock.clone();
         Dispatcher::with_clock(vec![Arc::new(self)], cfg, Arc::new(Registry::new()), clock)
-    }
-
-    /// Plans the shard set for distance `d`, building (and caching) the
-    /// Chase saved-state table on first use.
-    fn plan_shards(&self, d: u32, workers: usize, first_id: u64) -> Vec<ShardSpec> {
-        let key = (d, workers);
-        {
-            let cache = self.chase_cache.read();
-            if let Some(table) = cache.get(&key) {
-                return ShardSpec::plan(table, first_id);
-            }
-        }
-        let table = ChaseTable::build(d, workers);
-        let specs = ShardSpec::plan(&table, first_id);
-        self.chase_cache.write().insert(key, table);
-        specs
     }
 
     /// Round-robin backend choice. Pass 1 wants a breaker-healthy
@@ -599,7 +581,7 @@ impl SupervisedPool {
             Some(cp) => ShardSpec {
                 shard_id: run.spec.shard_id,
                 d: run.spec.d,
-                state: cp.state.clone(),
+                state: cp.state,
                 count: cp.remaining,
             },
             None => run.spec.clone(),
@@ -680,10 +662,8 @@ impl SupervisedPool {
         };
         let derive = DynHashDerive(job.algo);
         let early = job.mode == SearchMode::EarlyExit;
-        let specs = {
-            let first = self.next_shard.fetch_add(workers as u64, Ordering::Relaxed);
-            self.plan_shards(d, workers, first)
-        };
+        let first = self.next_shard.fetch_add(workers as u64, Ordering::Relaxed);
+        let specs = ShardSpec::plan(&ChaseTable::shared(d, workers), first);
         if specs.is_empty() {
             return (SweepResult::Exhausted, 0);
         }
@@ -1025,7 +1005,7 @@ impl SupervisedPool {
                     Some(cp) => ShardSpec {
                         shard_id: run.spec.shard_id,
                         d: run.spec.d,
-                        state: cp.state.clone(),
+                        state: cp.state,
                         count: cp.remaining,
                     },
                     None => run.spec.clone(),

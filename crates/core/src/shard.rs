@@ -30,8 +30,8 @@ use crate::derive::{Derive, DynHashDerive};
 /// Masks swept between checkpoints when the caller does not override it.
 /// At CPU hash rates (~10⁷ seeds/s/thread) this is a checkpoint every few
 /// hundred microseconds — frequent enough that a re-dispatch re-sweeps a
-/// negligible tail, rare enough that the clone of the Chase state (~1 KiB)
-/// never shows up in profiles.
+/// negligible tail, rare enough that publishing a checkpoint (a 72-byte
+/// copy of the Chase state plus the sink call) never shows up in profiles.
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 4096;
 
 /// One resumable slice of a distance-`d` Chase enumeration: sweep `count`
@@ -208,8 +208,8 @@ pub fn run_shard_clocked<D: Derive>(
     let interval = checkpoint_interval.max(1);
     let target_prefix = derive.prefix64(target);
 
-    let mut stream = ChaseStream::from_snapshot(spec.state.clone(), spec.count);
-    let mut masks: Vec<U256> = Vec::with_capacity(batch);
+    let mut stream = ChaseStream::from_snapshot(spec.state, spec.count);
+    let mut masks = vec![U256::ZERO; batch];
     let mut seeds: Vec<U256> = Vec::with_capacity(batch);
     let mut outs: Vec<D::Out> = Vec::with_capacity(batch);
     let mut prefixes: Vec<u64> = Vec::with_capacity(batch);
@@ -229,14 +229,8 @@ pub fn run_shard_clocked<D: Derive>(
     };
 
     loop {
-        masks.clear();
-        while masks.len() < batch {
-            match stream.next_mask() {
-                Some(m) => masks.push(m),
-                None => break,
-            }
-        }
-        if masks.is_empty() {
+        let filled = stream.next_batch(&mut masks);
+        if filled == 0 {
             return ShardReport {
                 outcome: ShardOutcome::Exhausted,
                 swept,
@@ -245,7 +239,7 @@ pub fn run_shard_clocked<D: Derive>(
             };
         }
         seeds.clear();
-        seeds.extend(masks.iter().map(|m| *s_init ^ *m));
+        seeds.extend(masks[..filled].iter().map(|m| *s_init ^ *m));
         swept += seeds.len() as u64;
         since_cp += seeds.len() as u64;
         batches += 1;
@@ -420,7 +414,7 @@ mod tests {
         // Plant the client at stream position 10 000 — well past the
         // third checkpoint (3 × 1024), so the interrupted sweep cannot
         // have reached it.
-        let mut stream = ChaseStream::from_snapshot(spec.state.clone(), spec.count);
+        let mut stream = ChaseStream::from_snapshot(spec.state, spec.count);
         let mut mask = stream.next_mask().unwrap();
         for _ in 0..10_000 {
             mask = stream.next_mask().unwrap();
@@ -441,7 +435,7 @@ mod tests {
         let resumed = ShardSpec {
             shard_id: spec.shard_id,
             d: last.d,
-            state: last.state.clone(),
+            state: last.state,
             count: last.remaining,
         };
         let second = execute_job_shard(&job, &resumed, 1024, &NullSink);
