@@ -114,6 +114,7 @@ impl SearchBackend for GpuSimBackend {
             per_distance: Vec::new(),
             algorithm: job.algo.name(),
             threads: r.threads_total as usize,
+            cost: None,
             extras: vec![
                 ("kernels", r.kernels as u64),
                 ("threads_total", r.threads_total),
@@ -213,6 +214,7 @@ impl SearchBackend for ApuSimBackend {
             per_distance: Vec::new(),
             algorithm: job.algo.name(),
             threads: r.pes,
+            cost: None,
             extras: vec![
                 ("waves", r.waves),
                 ("pes", r.pes as u64),

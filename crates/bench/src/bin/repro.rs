@@ -566,17 +566,10 @@ fn ablations(opts: &Opts) {
         "Ablation §4.4: early-exit poll granularity (measured, SHA-3 d=2 average-case search on this host)",
         &["batch", "search time", "seeds"],
     );
-    // The batched engine polls the exit flag once per batch, so the batch
-    // size subsumes the paper's check_interval sweep (effective interval =
-    // max(check_interval, batch)); batch=1 is the scalar engine.
     for batch in [1usize, 16, 64, 256] {
         let engine = SearchEngine::new(
             HashDerive(Sha3Fixed),
-            EngineConfig {
-                check_interval: 1,
-                batch: BatchPolicy::Fixed(batch),
-                ..Default::default()
-            },
+            EngineConfig { batch: BatchPolicy::Fixed(batch), ..Default::default() },
         );
         let report = engine.search(&target, &base, 2);
         assert!(matches!(report.outcome, Outcome::Found { .. }));

@@ -455,7 +455,7 @@ pub fn measure_adaptive_batching(trials: u64) -> Vec<AdaptiveMeasurement> {
             let ms = start.elapsed().as_secs_f64() * 1e3 / trials as f64;
             (seeds_total as f64 / trials as f64, ms)
         };
-        // Warmup both engines (chase tables, poll-cost calibration).
+        // Warmup both engines (Chase tables).
         run(&fixed);
         run(&adaptive);
         let (fixed_seeds, fixed_ms) = run(&fixed);

@@ -13,9 +13,10 @@
 //!
 //! Functional equivalence is the contract: for the same job, every
 //! backend must return the same [`Outcome`] (same found seed, same
-//! distance) — enforced by the cross-backend integration tests. Device
-//! specifics (kernel launches, hash waves, PE counts, cluster messages)
-//! travel in [`SearchReport::extras`] so harnesses keep their
+//! distance) — enforced by the cross-backend integration tests. Host
+//! searches bill their batched-loop cost in [`SearchReport::cost`];
+//! device specifics (kernel launches, hash waves, PE counts, cluster
+//! messages) travel in [`SearchReport::extras`] so harnesses keep their
 //! per-substrate reporting through the uniform interface.
 
 use std::sync::Arc;
@@ -112,7 +113,8 @@ pub struct BackendDescriptor {
 ///
 /// Implementations must be functionally equivalent — identical outcomes
 /// for identical jobs — and are free to differ in everything the report's
-/// accounting fields and [`SearchReport::extras`] describe.
+/// accounting fields, [`SearchReport::cost`] and [`SearchReport::extras`]
+/// describe.
 pub trait SearchBackend: Send + Sync {
     /// Describes this backend for routing and reporting.
     fn descriptor(&self) -> BackendDescriptor;
@@ -175,10 +177,9 @@ impl CpuBackend {
     }
 
     /// Reads every search and shard timing from `clock` instead of the
-    /// wall clock, and pins the shard path to the backend's own batch
-    /// policy — under a virtual clock this keeps batch boundaries (and
-    /// so checkpoint positions) independent of the host's wall-clock
-    /// poll-cost calibration.
+    /// wall clock. Batch boundaries, and so checkpoint positions, do not
+    /// depend on the clock: both paths size batches from the backend's
+    /// [`EngineConfig::batch`].
     pub fn with_clock(mut self, clock: ClockHandle) -> Self {
         self.clock = clock;
         self
@@ -266,14 +267,16 @@ impl SearchBackend for CpuBackend {
 ///   time ([`SearchReport::elapsed`], excluding queueing);
 /// - `rbc_backend_{i}_{kind}_submits_total` / `..._seeds_total` — jobs
 ///   run and seeds derived;
+/// - `rbc_backend_{i}_{kind}_batches_total`, `..._prefix_hits_total` and
+///   `..._prefix_false_positives_total` — the fields of
+///   [`SearchReport::cost`], for backends that report one (the CPU
+///   engine and the supervised pool);
 /// - one `rbc_backend_{i}_{kind}_{key}_total` counter per
 ///   [`SearchReport::extras`] entry, with `{key}` sanitized too. The
-///   per-substrate extras vocabulary (see the table in this module's
-///   docs and `rbc-accel`): engine derivations report `batches`,
-///   `prefix_hits`, `prefix_false_positives`; the cluster adds `nodes`,
-///   `messages`; gpu-sim adds `kernels`, `threads_total`, `flag_polls`;
-///   apu-sim adds `waves`, `pes`, `cycles`, `flag_checks`; the
-///   supervised pool adds `redispatches`, `hedges`, `faults`, `stalls`,
+///   per-substrate extras vocabulary (see `rbc-accel`): the cluster
+///   reports `nodes`, `messages`; gpu-sim `kernels`, `threads_total`,
+///   `flag_polls`; apu-sim `waves`, `pes`, `cycles`, `flag_checks`; the
+///   supervised pool `redispatches`, `hedges`, `faults`, `stalls`,
 ///   `wasted_seeds`.
 ///
 /// Wrapping is transparent to routing: descriptor, capacity and
@@ -334,9 +337,17 @@ impl SearchBackend for ProfiledBackend {
         let report = self.inner.submit(job);
         self.search_ns.record_duration_traced(report.elapsed, job.trace.trace_id);
         self.seeds.add(report.seeds_derived);
-        // Extras keys are a small per-substrate vocabulary; the
-        // get-or-create lock here is noise next to a search.
-        for (key, value) in &report.extras {
+        // Cost fields and extras keys are a small per-substrate
+        // vocabulary; the get-or-create lock here is noise next to a
+        // search.
+        let cost = report.cost.map(|c| {
+            [
+                ("batches", c.batches),
+                ("prefix_hits", c.prefix_hits),
+                ("prefix_false_positives", c.prefix_false_positives),
+            ]
+        });
+        for (key, value) in report.extras.iter().chain(cost.iter().flatten()) {
             let name = format!("{}_{}_total", self.prefix, sanitize(key));
             self.registry.counter(&name).add(*value);
         }
@@ -400,6 +411,7 @@ impl SearchBackend for ClusterBackend {
             per_distance: Vec::new(),
             algorithm: job.algo.name(),
             threads: self.cfg.nodes,
+            cost: None,
             extras: vec![("nodes", self.cfg.nodes as u64), ("messages", r.messages)],
         }
     }
@@ -450,8 +462,9 @@ mod tests {
         assert_eq!(via_trait.outcome, direct.outcome);
         assert_eq!(via_trait.outcome, Outcome::Found { seed: client, distance: 2 });
         // The hash path reports its prescreen accounting per search.
-        assert!(via_trait.extra("prefix_hits").unwrap() >= 1, "the match itself is a prefix hit");
-        assert_eq!(via_trait.extra("prefix_false_positives"), Some(0));
+        let cost = via_trait.cost.expect("the engine bills its cost");
+        assert!(cost.prefix_hits >= 1, "the match itself is a prefix hit");
+        assert_eq!(cost.prefix_false_positives, 0);
     }
 
     #[test]

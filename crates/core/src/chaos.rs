@@ -27,6 +27,7 @@ use crate::engine::SearchReport;
 use crate::shard::{
     Checkpoint, CheckpointSink, ShardControl, ShardOutcome, ShardReport, ShardSpec,
 };
+use crate::sweep::SearchCost;
 
 /// One injectable failure mode.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -238,7 +239,7 @@ impl SearchBackend for ChaosBackend {
                 outcome: ShardOutcome::Faulted { reason: "backend down" },
                 swept: 0,
                 elapsed: Duration::ZERO,
-                extras: vec![],
+                cost: SearchCost::default(),
             };
         }
         match self.fault {
@@ -255,7 +256,7 @@ impl SearchBackend for ChaosBackend {
                         outcome: ShardOutcome::Faulted { reason: "injected crash" },
                         swept: r.swept,
                         elapsed: r.elapsed,
-                        extras: r.extras,
+                        cost: r.cost,
                     };
                 }
                 r

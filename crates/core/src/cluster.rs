@@ -21,6 +21,7 @@ use rbc_bits::U256;
 use rbc_comb::{binomial, partition, Alg515Stream, GosperStream, MaskStream, SeedIterKind};
 
 use crate::derive::Derive;
+use crate::sweep::{sweep, SweepPolicy};
 
 /// Cluster configuration.
 #[derive(Clone, Debug)]
@@ -29,7 +30,7 @@ pub struct ClusterConfig {
     pub nodes: usize,
     /// Seed iterator used by every node.
     pub iter: SeedIterKind,
-    /// Seeds processed between stop-latch polls on each node.
+    /// Seeds per batch on each node, and so between stop-latch polls.
     pub check_interval: u32,
 }
 
@@ -102,6 +103,24 @@ fn stream_for(iter: SeedIterKind, a: &Assignment) -> MaskStream {
     }
 }
 
+/// A node's stop policy: its first hit, or the coordinator's stop
+/// broadcast polled after every batch.
+struct NodeStop<'a> {
+    stop: &'a AtomicBool,
+    hit: Option<U256>,
+}
+
+impl<S> SweepPolicy<S> for NodeStop<'_> {
+    fn hit(&mut self, seed: U256) -> bool {
+        self.hit = Some(seed);
+        true
+    }
+
+    fn poll(&mut self, _stream: &S, _swept: u64) -> bool {
+        self.stop.load(Ordering::Relaxed)
+    }
+}
+
 /// Runs the distributed search: `cfg.nodes` worker threads, a coordinator
 /// on the calling thread, message-passing in between. Early exit is
 /// always on (the engine is the average-case production configuration).
@@ -136,7 +155,7 @@ pub fn cluster_search<D: Derive>(
             let report_tx = report_tx.clone();
             let stop = stop.clone();
             let iter = cfg.iter;
-            let check_interval = cfg.check_interval.max(1);
+            let batch = cfg.check_interval.max(1) as usize;
             scope.spawn(move || {
                 while let Ok(cmd) = rx.recv() {
                     let assignment = match cmd {
@@ -145,25 +164,10 @@ pub fn cluster_search<D: Derive>(
                     };
                     let d = assignment.d;
                     let mut stream = stream_for(iter, &assignment);
-                    let mut searched = 0u64;
-                    let mut since_check = 0u32;
-                    let mut hit: Option<U256> = None;
-                    while let Some(mask) = stream.next_mask() {
-                        let seed = *s_init ^ mask;
-                        searched += 1;
-                        if derive.derive(&seed) == *target {
-                            hit = Some(seed);
-                            break;
-                        }
-                        since_check += 1;
-                        if since_check >= check_interval {
-                            since_check = 0;
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                        }
-                    }
-                    let report = match hit {
+                    let mut policy = NodeStop { stop: &stop, hit: None };
+                    let searched =
+                        sweep(derive, target, s_init, &mut stream, batch, None, &mut policy).0;
+                    let report = match policy.hit {
                         Some(seed) => NodeReport::Found { node, seed, d, searched },
                         None => NodeReport::Exhausted { node, searched },
                     };

@@ -567,6 +567,7 @@ mod tests {
                 per_distance: Vec::new(),
                 algorithm: job.algo.name(),
                 threads: 1,
+                cost: None,
                 extras: Vec::new(),
             }
         }
@@ -593,6 +594,7 @@ mod tests {
                 per_distance: Vec::new(),
                 algorithm: job.algo.name(),
                 threads: 1,
+                cost: None,
                 extras: Vec::new(),
             }
         }
@@ -1067,6 +1069,7 @@ mod tests {
                 per_distance: Vec::new(),
                 algorithm: "probe",
                 threads: 1,
+                cost: None,
                 extras: Vec::new(),
             }
         }

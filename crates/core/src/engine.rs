@@ -9,31 +9,22 @@
 //! distances are searched in increasing order so the minimal-distance match
 //! is found first.
 //!
-//! **The hot path is batched**: each worker refills a mask buffer
-//! ([`rbc_comb::MaskStream::next_batch`], one dynamic dispatch per refill), XORs the
-//! batch into candidate seeds, and pushes them through the derivation's
-//! batch entry points — for hash derivations these are the multi-lane
-//! interleaved kernels of `rbc_hash::lanes`. Hash targets are additionally
-//! **prescreened**: candidates are first compared on the 64-bit digest
-//! prefix ([`crate::derive::Derive::prefix64_batch`]) and only prefix hits
-//! (p = 2⁻⁶⁴ per non-matching candidate) pay for a full derivation and
-//! compare, so accept/reject decisions are bit-identical to the
-//! full-compare engine. Batch sizes come from [`EngineConfig::batch`], by
-//! default adapted to search difficulty per distance (see
-//! [`crate::batch`]); `BatchPolicy::Fixed(1)` recovers the scalar engine.
+//! **The hot path is batched**: each worker runs the crate's one search
+//! loop ([`crate::sweep`]) over its mask stream, in batches sized by
+//! [`EngineConfig::batch`] (by default adapted to search difficulty per
+//! distance, see [`crate::batch`]); `BatchPolicy::Fixed(1)` recovers the
+//! scalar engine.
 //!
 //! **Early exit** uses a shared [`AtomicU8`] flag: `Relaxed` loads in the
 //! hot loop (the flag is a monotonic latch, no data is published through
 //! it), a `Release` store when a thread finds the seed, and an `Acquire`
 //! re-check by the coordinator. The found seed itself travels through a
 //! mutex, not the flag. Flag and deadline polls are paid once per batch,
-//! not per candidate; the poll cadence in seeds remains configurable
-//! ([`EngineConfig::check_interval`]) to reproduce the §4.4 ablation,
-//! with an effective interval of `max(check_interval, batch)`.
+//! not per candidate — the batch size is the §4.4 exit-check interval.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rbc_bits::U256;
@@ -43,6 +34,7 @@ use rbc_telemetry::{Counter, Registry};
 use crate::batch::BatchPolicy;
 use crate::clock::{wall_clock, ClockHandle};
 use crate::derive::Derive;
+use crate::sweep::{sweep, SearchCost, SweepPolicy};
 
 /// Search-termination policy, matching the paper's two measured scenarios.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,7 +46,7 @@ pub enum SearchMode {
     Exhaustive,
 }
 
-/// Engine configuration (Table 2's notation: `p` threads, check interval).
+/// Engine configuration (Table 2's notation: `p` threads).
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Worker threads `p`; 0 means use all available cores.
@@ -63,19 +55,14 @@ pub struct EngineConfig {
     pub iter: SeedIterKind,
     /// Termination policy.
     pub mode: SearchMode,
-    /// Seeds derived between early-exit flag polls (§4.4: the paper swept
-    /// 1..64 and found no impact; default 1). Polls happen at batch
-    /// boundaries, so the effective interval is
-    /// `max(check_interval, batch)` — the batch refill subsumes the §4.4
-    /// sweep, which is why the sweep found no impact.
-    pub check_interval: u32,
     /// Batch-sizing policy: masks are streamed, derived and prescreened
     /// `batch` candidates at a time so the SIMD hash kernels stay full
-    /// and the stop-flag/deadline polls are paid once per batch. The
-    /// default [`BatchPolicy::Adaptive`] scales the size to search
-    /// difficulty (the per-thread `C(256, d)/p` span and the measured
-    /// poll cost — see [`crate::batch`]); [`BatchPolicy::Fixed`] pins it,
-    /// and `Fixed(1)` reproduces the pre-batching scalar engine.
+    /// and the stop-flag/deadline polls are paid once per batch (the
+    /// batch is the §4.4 exit-check interval). The default
+    /// [`BatchPolicy::Adaptive`] scales the size to search difficulty
+    /// (the per-thread `C(256, d)/p` span — see [`crate::batch`]);
+    /// [`BatchPolicy::Fixed`] pins it, and `Fixed(1)` reproduces the
+    /// pre-batching scalar engine.
     pub batch: BatchPolicy,
     /// Authentication time threshold `T` (the paper uses 20 s). `None`
     /// disables the timeout.
@@ -88,7 +75,6 @@ impl Default for EngineConfig {
             threads: 0,
             iter: SeedIterKind::Chase,
             mode: SearchMode::EarlyExit,
-            check_interval: 1,
             batch: BatchPolicy::default(),
             deadline: None,
         }
@@ -159,9 +145,13 @@ pub struct SearchReport {
     pub algorithm: &'static str,
     /// Threads used.
     pub threads: usize,
-    /// Device-specific counters reported by non-CPU backends (kernel
-    /// launches, hash waves, PE counts, cluster messages, …); empty for
-    /// the CPU engine. Keys are stable per backend — see
+    /// What the batched search loop consumed; `None` from substrates
+    /// that bill no such cost (the device simulators and the cluster,
+    /// whose counters travel in `extras`).
+    pub cost: Option<SearchCost>,
+    /// Device-specific counters (kernel launches, hash waves, PE counts,
+    /// cluster messages, the supervised pool's resilience counters);
+    /// empty for the CPU engine. Keys are stable per backend — see
     /// [`crate::backend`].
     pub extras: Vec<(&'static str, u64)>,
 }
@@ -292,31 +282,27 @@ impl<D: Derive> SearchEngine<D> {
         let clock = &self.clock;
         let start = clock.now();
         let deadline = self.cfg.deadline.map(|t| start + t);
-        if let Some(t) = &self.telemetry {
+        let early = self.cfg.mode == SearchMode::EarlyExit;
+        let telemetry = self.telemetry.as_ref();
+        if let Some(t) = telemetry {
             t.searches.inc();
             t.seeds_scanned.inc(); // the distance-0 probe below
         }
 
         let flag = AtomicU8::new(RUNNING);
         let found: Mutex<Option<(U256, u32)>> = Mutex::new(None);
-        let total_seeds = AtomicU64::new(0);
-        // Per-search prescreen accounting, reported in the extras so a
-        // single report (not just the cumulative telemetry) shows how
-        // selective the prefix filter was for *this* request.
-        let search_prefix_hits = AtomicU64::new(0);
-        let search_prefix_false_pos = AtomicU64::new(0);
-        let search_batches = AtomicU64::new(0);
+        let mut total_seeds = 0u64;
+        // Per-search cost, reported on the search's own report so a
+        // single request (not just the cumulative telemetry) shows how
+        // selective the prefix filter was for it.
+        let mut cost = SearchCost::default();
         let mut per_distance = Vec::with_capacity(max_d as usize + 1);
-        // Computed once per search: the target's prescreen key, if the
-        // derivation has a truncated path (hash engines do; cipher/PQC
-        // engines return None and take full-compare batches).
-        let target_prefix = self.derive.prefix64(target);
 
         // Distance 0: thread r = 0 checks S_init itself (Algorithm 1,
         // lines 4–8).
         let d0_start = clock.now();
         let m0 = self.derive.derive(s_init);
-        total_seeds.fetch_add(1, Ordering::Relaxed);
+        total_seeds += 1;
         per_distance.push(DistanceStats {
             d: 0,
             seeds: 1,
@@ -330,7 +316,7 @@ impl<D: Derive> SearchEngine<D> {
         let mut d = 1u32;
         while d <= max_d {
             let stop_now = match flag.load(Ordering::Acquire) {
-                FOUND => self.cfg.mode == SearchMode::EarlyExit,
+                FOUND => early,
                 EXPIRED => true,
                 _ => false,
             };
@@ -349,132 +335,30 @@ impl<D: Derive> SearchEngine<D> {
             // One policy resolution per distance: the batch size every
             // worker at this distance uses.
             let batch = self.cfg.batch.resolve(d, threads);
-            let d_seeds = AtomicU64::new(0);
+            let stop =
+                EngineStop { d, early, flag: &flag, found: &found, deadline, clock, telemetry };
+            let derive = &self.derive;
+            let mut d_seeds = 0u64;
             std::thread::scope(|scope| {
-                for mut stream in streams {
-                    let derive = &self.derive;
-                    let telemetry = self.telemetry.as_ref();
-                    let flag = &flag;
-                    let found = &found;
-                    let d_seeds = &d_seeds;
-                    let search_prefix_hits = &search_prefix_hits;
-                    let search_prefix_false_pos = &search_prefix_false_pos;
-                    let search_batches = &search_batches;
-                    let check_interval = self.cfg.check_interval.max(1);
-                    let early = self.cfg.mode == SearchMode::EarlyExit;
-                    scope.spawn(move || {
-                        // Per-thread buffers, reused across refills.
-                        let mut masks = vec![U256::ZERO; batch];
-                        let mut seeds: Vec<U256> = Vec::with_capacity(batch);
-                        let mut outs: Vec<D::Out> = Vec::with_capacity(batch);
-                        let mut prefixes: Vec<u64> = Vec::with_capacity(batch);
-                        let mut local = 0u64;
-                        let mut since_check = 0u32;
-                        'refill: loop {
-                            let n = stream.next_batch(&mut masks);
-                            if n == 0 {
-                                break;
-                            }
-                            seeds.clear();
-                            seeds.extend(masks[..n].iter().map(|m| *s_init ^ *m));
-                            local += n as u64;
-                            // Telemetry is paid per refill, not per
-                            // candidate: three relaxed adds amortized
-                            // over `batch` derivations.
-                            search_batches.fetch_add(1, Ordering::Relaxed);
-                            if let Some(t) = telemetry {
-                                t.batches.inc();
-                                t.batch_fill.add(n as u64);
-                                t.seeds_scanned.add(n as u64);
-                            }
-
-                            // Record a hit; within a thread the first match
-                            // in stream order wins, across threads the
-                            // first writer wins (later distances never get
-                            // here before earlier ones finish).
-                            let mut hit = false;
-                            let mut record = |seed: U256| {
-                                let mut slot = found.lock();
-                                if slot.is_none() {
-                                    *slot = Some((seed, d));
-                                }
-                                drop(slot);
-                                flag.store(FOUND, Ordering::Release);
-                                hit = true;
-                            };
-
-                            if let Some(tp) = target_prefix {
-                                // Prescreen: compare 8-byte prefixes, then
-                                // confirm the (rare) hits with a full
-                                // derivation — identical accept/reject
-                                // decisions to the full-compare path.
-                                derive.prefix64_batch(&seeds, &mut prefixes);
-                                let mut prefix_hits = 0u64;
-                                let mut false_pos = 0u64;
-                                for (i, &p) in prefixes.iter().enumerate() {
-                                    if p != tp {
-                                        continue;
-                                    }
-                                    prefix_hits += 1;
-                                    if derive.derive(&seeds[i]) == *target {
-                                        record(seeds[i]);
-                                        if early {
-                                            break;
-                                        }
-                                    } else {
-                                        false_pos += 1;
-                                    }
-                                }
-                                if prefix_hits > 0 {
-                                    search_prefix_hits.fetch_add(prefix_hits, Ordering::Relaxed);
-                                    search_prefix_false_pos.fetch_add(false_pos, Ordering::Relaxed);
-                                    if let Some(t) = telemetry {
-                                        t.prefix_hits.add(prefix_hits);
-                                        t.prefix_false_positives.add(false_pos);
-                                    }
-                                }
-                            } else {
-                                derive.derive_batch(&seeds, &mut outs);
-                                for (i, o) in outs.iter().enumerate() {
-                                    if *o == *target {
-                                        record(seeds[i]);
-                                        if early {
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                            if hit && early {
-                                break;
-                            }
-
-                            since_check += n as u32;
-                            if since_check >= check_interval {
-                                since_check = 0;
-                                if let Some(t) = telemetry {
-                                    t.early_exit_polls.inc();
-                                }
-                                let f = flag.load(Ordering::Relaxed);
-                                if (f == FOUND && early) || f == EXPIRED {
-                                    break 'refill;
-                                }
-                                if let Some(dl) = deadline {
-                                    if clock.now() >= dl {
-                                        flag.store(EXPIRED, Ordering::Release);
-                                        break 'refill;
-                                    }
-                                }
-                            }
-                        }
-                        d_seeds.fetch_add(local, Ordering::Relaxed);
-                    });
+                let workers: Vec<_> = streams
+                    .into_iter()
+                    .map(|mut masks| {
+                        let mut stop = stop;
+                        scope.spawn(move || {
+                            sweep(derive, target, s_init, &mut masks, batch, telemetry, &mut stop)
+                        })
+                    })
+                    .collect();
+                for worker in workers {
+                    let (swept, worker_cost) = worker.join().expect("search worker panicked");
+                    d_seeds += swept;
+                    cost += worker_cost;
                 }
             });
-            let seeds = d_seeds.load(Ordering::Relaxed);
-            total_seeds.fetch_add(seeds, Ordering::Relaxed);
+            total_seeds += d_seeds;
             per_distance.push(DistanceStats {
                 d,
-                seeds,
+                seeds: d_seeds,
                 elapsed: clock.now().saturating_duration_since(d_start),
             });
             d += 1;
@@ -489,25 +373,61 @@ impl<D: Derive> SearchEngine<D> {
             _ => resolve_running_outcome(&found),
         };
 
-        // Every derivation reports its refill count (cost receipts bill
-        // per batch), but only prefix-capable derivations add prescreen
-        // extras; cipher/PQC engines take full-compare batches.
-        let mut extras = vec![("batches", search_batches.load(Ordering::Relaxed))];
-        if target_prefix.is_some() {
-            extras.push(("prefix_hits", search_prefix_hits.load(Ordering::Relaxed)));
-            extras
-                .push(("prefix_false_positives", search_prefix_false_pos.load(Ordering::Relaxed)));
-        }
-
         SearchReport {
             outcome,
-            seeds_derived: total_seeds.load(Ordering::Relaxed),
+            seeds_derived: total_seeds,
             elapsed: clock.now().saturating_duration_since(start),
             per_distance,
             algorithm: self.derive.name(),
             threads,
-            extras,
+            cost: Some(cost),
+            extras: Vec::new(),
         }
+    }
+}
+
+/// One engine worker's stop policy at distance `d`.
+#[derive(Clone, Copy)]
+struct EngineStop<'a> {
+    d: u32,
+    early: bool,
+    flag: &'a AtomicU8,
+    found: &'a Mutex<Option<(U256, u32)>>,
+    deadline: Option<Instant>,
+    clock: &'a ClockHandle,
+    telemetry: Option<&'a EngineTelemetry>,
+}
+
+impl<S> SweepPolicy<S> for EngineStop<'_> {
+    /// Records a hit; within a thread the first match in stream order
+    /// wins, across threads the first writer wins (later distances never
+    /// get here before earlier ones finish). Under exhaustive mode the
+    /// sweep goes on.
+    fn hit(&mut self, seed: U256) -> bool {
+        let mut slot = self.found.lock();
+        if slot.is_none() {
+            *slot = Some((seed, self.d));
+        }
+        drop(slot);
+        self.flag.store(FOUND, Ordering::Release);
+        self.early
+    }
+
+    fn poll(&mut self, _stream: &S, _swept: u64) -> bool {
+        if let Some(t) = self.telemetry {
+            t.early_exit_polls.inc();
+        }
+        let f = self.flag.load(Ordering::Relaxed);
+        if (f == FOUND && self.early) || f == EXPIRED {
+            return true;
+        }
+        if let Some(dl) = self.deadline {
+            if self.clock.now() >= dl {
+                self.flag.store(EXPIRED, Ordering::Release);
+                return true;
+            }
+        }
+        false
     }
 }
 
@@ -610,23 +530,6 @@ mod tests {
         assert_eq!(report.per_distance.len(), 3);
         assert_eq!(report.per_distance[1].seeds, 256);
         assert_eq!(report.per_distance[2].seeds, 32_640);
-    }
-
-    #[test]
-    fn check_interval_does_not_change_result() {
-        // §4.4: polling every 1..64 seeds has no effect on correctness
-        // (the paper found none on performance either).
-        let base = U256::from_u64(11);
-        let client = seed_at(&base, &[42, 142]);
-        let target = Sha3Fixed.digest_seed(&client);
-        for interval in [1u32, 8, 64] {
-            let eng = SearchEngine::new(
-                HashDerive(Sha3Fixed),
-                EngineConfig { threads: 4, check_interval: interval, ..Default::default() },
-            );
-            let report = eng.search(&target, &base, 2);
-            assert_eq!(report.outcome, Outcome::Found { seed: client, distance: 2 });
-        }
     }
 
     #[test]

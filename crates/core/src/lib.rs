@@ -76,6 +76,7 @@ pub mod salt;
 pub mod service;
 pub mod shard;
 pub mod store;
+pub mod sweep;
 pub mod trials;
 pub mod weighted;
 
@@ -100,5 +101,6 @@ pub use service::{AuthService, ServiceConfig, ServiceStats};
 pub use shard::{
     Checkpoint, CheckpointSink, NullSink, ShardControl, ShardOutcome, ShardReport, ShardSpec,
 };
+pub use sweep::SearchCost;
 pub use trials::{run_average_case_trials, TrialSummary};
 pub use weighted::{weighted_search, ReliabilityOrder, WeightedOutcome};

@@ -28,7 +28,7 @@
 //! [`EventKind::ShardResumed`] through an attached [`Tracer`] so the
 //! flight recorder can capture recovery timelines.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -45,6 +45,7 @@ use crate::derive::{Derive, DynHashDerive};
 use crate::dispatch::{Dispatcher, DispatcherConfig};
 use crate::engine::{DistanceStats, Outcome, SearchMode, SearchReport};
 use crate::shard::{Checkpoint, CheckpointSink, ShardControl, ShardOutcome, ShardSpec};
+use crate::sweep::SearchCost;
 
 /// A backend reporting `TimedOut` while more than this much wall budget
 /// remains is treated as clock-skewed (a fault), not as a genuine
@@ -349,7 +350,8 @@ struct SweepState {
     totals: Totals,
 }
 
-/// Per-submit resilience totals, reported in the job's `extras`.
+/// Per-submit resilience totals, reported in the job's `extras`, and
+/// search cost.
 #[derive(Default)]
 struct Totals {
     redispatches: u64,
@@ -357,12 +359,11 @@ struct Totals {
     faults: u64,
     stalls: u64,
     wasted: u64,
-    /// Cost-accounting extras folded from every shard attempt's
-    /// [`ShardReport::extras`] (`"batches"`, `"prefix_hits"`,
-    /// `"prefix_false_positives"`). Superseded attempts count too:
-    /// their work was consumed even if it was later voided, and the
-    /// per-request cost receipt bills consumption.
-    shard_extras: BTreeMap<&'static str, u64>,
+    /// Every shard attempt's cost added up, `None` until one reports.
+    /// Superseded attempts count too: their work was consumed even if it
+    /// was later voided, and the per-request cost receipt bills
+    /// consumption.
+    cost: Option<SearchCost>,
 }
 
 /// Immutable context shared by one distance sweep.
@@ -804,8 +805,8 @@ impl SupervisedPool {
         acc.faults += st.totals.faults;
         acc.stalls += st.totals.stalls;
         acc.wasted += st.totals.wasted;
-        for (&key, &v) in &st.totals.shard_extras {
-            *acc.shard_extras.entry(key).or_insert(0) += v;
+        if let Some(cost) = st.totals.cost {
+            *acc.cost.get_or_insert_default() += cost;
         }
     }
 
@@ -838,9 +839,7 @@ impl SupervisedPool {
             }
             Event::Done { shard, attempt, backend, report } => {
                 st.swept += report.swept;
-                for &(key, v) in &report.extras {
-                    *st.totals.shard_extras.entry(key).or_insert(0) += v;
-                }
+                *st.totals.cost.get_or_insert_default() += report.cost;
                 let was_active = ctx.active.lock().remove(&attempt);
                 let run = &mut st.runs[shard];
                 if let Some(info) = run.attempts.remove(&attempt) {
@@ -1055,17 +1054,14 @@ impl SearchBackend for SupervisedPool {
             per_distance,
             algorithm,
             threads,
-            extras: {
-                let mut extras = vec![
-                    ("redispatches", totals.redispatches),
-                    ("hedges", totals.hedges),
-                    ("faults", totals.faults),
-                    ("stalls", totals.stalls),
-                    ("wasted_seeds", totals.wasted),
-                ];
-                extras.extend(totals.shard_extras.iter().map(|(&k, &v)| (k, v)));
-                extras
-            },
+            cost: totals.cost,
+            extras: vec![
+                ("redispatches", totals.redispatches),
+                ("hedges", totals.hedges),
+                ("faults", totals.faults),
+                ("stalls", totals.stalls),
+                ("wasted_seeds", totals.wasted),
+            ],
         };
 
         // Distance 0: the reference image itself.
@@ -1173,7 +1169,7 @@ mod tests {
                 outcome: ShardOutcome::Faulted { reason: "test fault" },
                 swept: 0,
                 elapsed: Duration::ZERO,
-                extras: vec![],
+                cost: SearchCost::default(),
             }
         }
     }
@@ -1206,7 +1202,7 @@ mod tests {
                     outcome: ShardOutcome::Faulted { reason: "flaky" },
                     swept: 0,
                     elapsed: Duration::ZERO,
-                    extras: vec![],
+                    cost: SearchCost::default(),
                 };
             }
             crate::shard::execute_job_shard(job, spec, interval, sink)
@@ -1234,7 +1230,7 @@ mod tests {
                 outcome: ShardOutcome::Found { seed: job.s_init.flip_bit(255) },
                 swept: 1,
                 elapsed: Duration::ZERO,
-                extras: vec![],
+                cost: SearchCost::default(),
             }
         }
     }
@@ -1286,7 +1282,7 @@ mod tests {
                 outcome: ShardOutcome::TimedOut,
                 swept: 0,
                 elapsed: Duration::ZERO,
-                extras: vec![],
+                cost: SearchCost::default(),
             }
         }
     }

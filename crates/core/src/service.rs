@@ -317,23 +317,20 @@ impl<P: PqcKeyGen> AuthService<P> {
                 // A search whose every prefix prescreen hit turned out
                 // to be a false positive paid full derivations for
                 // nothing — worth flagging on the trace.
-                if let (Some(hits), Some(fp)) =
-                    (report.extra("prefix_hits"), report.extra("prefix_false_positives"))
-                {
-                    if hits > 0 && hits == fp {
-                        self.tracer.event(
-                            EventKind::PrefixExhausted,
-                            msg.trace.trace_id,
-                            "every prefix prescreen hit was a false positive",
-                        );
-                    }
+                let cost = report.cost.unwrap_or_default();
+                if cost.prefix_hits > 0 && cost.prefix_hits == cost.prefix_false_positives {
+                    self.tracer.event(
+                        EventKind::PrefixExhausted,
+                        msg.trace.trace_id,
+                        "every prefix prescreen hit was a false positive",
+                    );
                 }
                 // The receipt bills what the search actually consumed,
                 // pulled from the report before the CA consumes it.
                 bill.hashes = report.seeds_derived;
-                bill.batches = report.extra("batches").unwrap_or(0);
-                bill.prefix_hits = report.extra("prefix_hits").unwrap_or(0);
-                bill.prefix_false_positives = report.extra("prefix_false_positives").unwrap_or(0);
+                bill.batches = cost.batches;
+                bill.prefix_hits = cost.prefix_hits;
+                bill.prefix_false_positives = cost.prefix_false_positives;
                 bill.queue_wait_ns = u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX);
                 bill.busy_ns = u64::try_from(busy.as_nanos()).unwrap_or(u64::MAX);
                 bill.occupancy_permille = occupancy_permille;

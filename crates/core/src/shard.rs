@@ -5,8 +5,8 @@
 //! states let parallel workers resume iteration mid-sequence. This module
 //! turns that property into a fault-tolerance primitive: a [`ShardSpec`]
 //! is a *resume point* — a Chase generator state plus a mask count — and
-//! [`run_shard`] sweeps it with the same batched prefix64-prescreen hot
-//! path as the engine while periodically publishing fresh resume points
+//! [`run_shard_clocked`] sweeps it with the engine's batched search loop
+//! ([`crate::sweep`]) while periodically publishing fresh resume points
 //! through a [`CheckpointSink`]. When a backend crashes or stalls
 //! mid-shard, a supervisor (see [`crate::pool`]) re-dispatches only the
 //! unswept remainder — the masks from the last checkpoint onward — to a
@@ -17,7 +17,7 @@
 //! sweep had not produced (property-tested in `rbc-comb`), so a
 //! re-dispatched shard can neither skip nor repeat a candidate.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rbc_bits::U256;
 use rbc_comb::{ChaseState, ChaseStream, ChaseTable};
@@ -26,6 +26,7 @@ use crate::backend::SearchJob;
 use crate::batch::BatchPolicy;
 use crate::clock::{wall_clock, ClockHandle};
 use crate::derive::{Derive, DynHashDerive};
+use crate::sweep::{sweep, SearchCost, SweepPolicy};
 
 /// Masks swept between checkpoints when the caller does not override it.
 /// At CPU hash rates (~10⁷ seeds/s/thread) this is a checkpoint every few
@@ -143,52 +144,19 @@ pub struct ShardReport {
     pub swept: u64,
     /// Attempt wall-clock time.
     pub elapsed: Duration,
-    /// Cost accounting under stable keys (`"batches"`, and for
-    /// prefix-capable derivations `"prefix_hits"` /
-    /// `"prefix_false_positives"`). The pool folds these into its
-    /// submit-level report so per-request cost receipts survive the
+    /// What the attempt consumed. The pool adds every attempt's cost into
+    /// its submit-level report so per-request cost receipts survive the
     /// sharded path.
-    pub extras: Vec<(&'static str, u64)>,
+    pub cost: SearchCost,
 }
 
-/// Sweeps one shard with the engine's batched hot path: refill a mask
-/// batch from the Chase stream, XOR into candidate seeds, prescreen on
-/// the 64-bit digest prefix, confirm hits with a full derivation —
-/// bit-identical accept decisions to the full engine. Every
+/// Sweeps one shard with the engine's batched search loop, stopping at
+/// the first hit — bit-identical accept decisions to the engine. Every
 /// `checkpoint_interval` masks the current resume point goes to `sink`;
-/// `deadline` bounds the attempt from its own start.
-pub fn run_shard<D: Derive>(
-    derive: &D,
-    target: &D::Out,
-    s_init: &U256,
-    spec: &ShardSpec,
-    deadline: Option<Duration>,
-    checkpoint_interval: u64,
-    sink: &dyn CheckpointSink,
-) -> ShardReport {
-    // Adaptive sizing on the shard's own span: a near-exhausted resume
-    // point (or a d=1 shard) sweeps in one small refill instead of
-    // allocating max-width buffers, while large shards amortize the
-    // deadline checks with full-width batches — same policy as the
-    // engine hot loop (see `crate::batch`).
-    run_shard_clocked(
-        derive,
-        target,
-        s_init,
-        spec,
-        deadline,
-        checkpoint_interval,
-        sink,
-        &wall_clock(),
-        BatchPolicy::default(),
-    )
-}
-
-/// [`run_shard`] with the attempt's start, deadline and elapsed read
-/// from `clock`, and the refill width resolved from an explicit
-/// `policy` — the simulation harness passes a fixed policy so batch
-/// boundaries (and therefore checkpoint and deadline-poll positions)
-/// do not depend on a wall-clock calibration of the host.
+/// `deadline` bounds the attempt from its own start. Start, deadline and
+/// elapsed are read from `clock`; the refill width is `policy` resolved
+/// on the shard's own span, so a near-exhausted resume point sweeps in
+/// one small refill.
 #[allow(clippy::too_many_arguments)]
 pub fn run_shard_clocked<D: Derive>(
     derive: &D,
@@ -201,122 +169,87 @@ pub fn run_shard_clocked<D: Derive>(
     clock: &ClockHandle,
     policy: BatchPolicy,
 ) -> ShardReport {
-    let batch = policy.resolve_for_span(spec.count);
     let start = clock.now();
-    let elapsed = || clock.now().saturating_duration_since(start);
-    let give_up = deadline.map(|t| start + t);
-    let interval = checkpoint_interval.max(1);
-    let target_prefix = derive.prefix64(target);
-
-    let mut stream = ChaseStream::from_snapshot(spec.state, spec.count);
-    let mut masks = vec![U256::ZERO; batch];
-    let mut seeds: Vec<U256> = Vec::with_capacity(batch);
-    let mut outs: Vec<D::Out> = Vec::with_capacity(batch);
-    let mut prefixes: Vec<u64> = Vec::with_capacity(batch);
-    let mut swept = 0u64;
-    let mut since_cp = 0u64;
-    let mut batches = 0u64;
-    let mut prefix_hits = 0u64;
-    let mut prefix_false_pos = 0u64;
-    // Cost accounting under the same stable keys the engine reports
-    // (see [`crate::engine::SearchReport::extras`]).
-    let extras = |batches: u64, hits: u64, fp: u64| {
-        if target_prefix.is_some() {
-            vec![("batches", batches), ("prefix_hits", hits), ("prefix_false_positives", fp)]
-        } else {
-            vec![("batches", batches)]
-        }
+    let mut stop = ShardStop {
+        spec,
+        sink,
+        clock,
+        give_up: deadline.map(|t| start + t),
+        interval: checkpoint_interval.max(1),
+        last_checkpoint: 0,
+        outcome: ShardOutcome::Exhausted,
     };
+    let mut stream = ChaseStream::from_snapshot(spec.state, spec.count);
+    let batch = policy.resolve_for_span(spec.count);
+    let (swept, cost) = sweep(derive, target, s_init, &mut stream, batch, None, &mut stop);
+    let elapsed = clock.now().saturating_duration_since(start);
+    ShardReport { outcome: stop.outcome, swept, elapsed, cost }
+}
 
-    loop {
-        let filled = stream.next_batch(&mut masks);
-        if filled == 0 {
-            return ShardReport {
-                outcome: ShardOutcome::Exhausted,
-                swept,
-                elapsed: elapsed(),
-                extras: extras(batches, prefix_hits, prefix_false_pos),
-            };
-        }
-        seeds.clear();
-        seeds.extend(masks[..filled].iter().map(|m| *s_init ^ *m));
-        swept += seeds.len() as u64;
-        since_cp += seeds.len() as u64;
-        batches += 1;
+/// A shard attempt's stop policy: the first hit, the deadline, or the
+/// sink saying stop at a checkpoint.
+struct ShardStop<'a> {
+    spec: &'a ShardSpec,
+    sink: &'a dyn CheckpointSink,
+    clock: &'a ClockHandle,
+    give_up: Option<Instant>,
+    interval: u64,
+    /// Masks swept when the last checkpoint was published.
+    last_checkpoint: u64,
+    /// How the attempt ended; a sweep that is never stopped exhausts.
+    outcome: ShardOutcome,
+}
 
-        let hit = if let Some(tp) = target_prefix {
-            derive.prefix64_batch(&seeds, &mut prefixes);
-            // Same lazy confirmation order as `.find`, with the hit and
-            // false-positive tallies the cost receipts bill per client.
-            let mut found = None;
-            for (i, &p) in prefixes.iter().enumerate() {
-                if p != tp {
-                    continue;
-                }
-                prefix_hits += 1;
-                if derive.derive(&seeds[i]) == *target {
-                    found = Some(seeds[i]);
-                    break;
-                }
-                prefix_false_pos += 1;
-            }
-            found
-        } else {
-            derive.derive_batch(&seeds, &mut outs);
-            outs.iter().position(|o| *o == *target).map(|i| seeds[i])
-        };
-        if let Some(seed) = hit {
-            return ShardReport {
-                outcome: ShardOutcome::Found { seed },
-                swept,
-                elapsed: elapsed(),
-                extras: extras(batches, prefix_hits, prefix_false_pos),
-            };
-        }
+impl SweepPolicy<ChaseStream> for ShardStop<'_> {
+    fn hit(&mut self, seed: U256) -> bool {
+        self.outcome = ShardOutcome::Found { seed };
+        true
+    }
 
-        if let Some(dl) = give_up {
-            if clock.now() >= dl {
-                return ShardReport {
-                    outcome: ShardOutcome::TimedOut,
-                    swept,
-                    elapsed: elapsed(),
-                    extras: extras(batches, prefix_hits, prefix_false_pos),
-                };
-            }
+    fn poll(&mut self, stream: &ChaseStream, swept: u64) -> bool {
+        if self.give_up.is_some_and(|dl| self.clock.now() >= dl) {
+            self.outcome = ShardOutcome::TimedOut;
+            return true;
         }
-        if since_cp >= interval {
-            since_cp = 0;
+        if swept - self.last_checkpoint >= self.interval {
+            self.last_checkpoint = swept;
             let (state, remaining) = stream.snapshot();
-            let control = sink.checkpoint(Checkpoint {
-                shard_id: spec.shard_id,
-                d: spec.d,
+            let cp = Checkpoint {
+                shard_id: self.spec.shard_id,
+                d: self.spec.d,
                 state,
                 swept,
                 remaining,
-            });
-            if control == ShardControl::Stop {
-                return ShardReport {
-                    outcome: ShardOutcome::Cancelled,
-                    swept,
-                    elapsed: elapsed(),
-                    extras: extras(batches, prefix_hits, prefix_false_pos),
-                };
+            };
+            if self.sink.checkpoint(cp) == ShardControl::Stop {
+                self.outcome = ShardOutcome::Cancelled;
+                return true;
             }
         }
+        false
     }
 }
 
-/// [`run_shard`] over a [`SearchJob`]'s runtime-dispatched hash
-/// derivation — the entry point [`crate::backend::SearchBackend`]
-/// implementations get by default.
+/// [`run_shard_clocked`] over a [`SearchJob`]'s runtime-dispatched hash
+/// derivation on the wall clock and the default batch policy — the entry
+/// point [`crate::backend::SearchBackend`] implementations get by default.
 pub fn execute_job_shard(
     job: &SearchJob,
     spec: &ShardSpec,
     checkpoint_interval: u64,
     sink: &dyn CheckpointSink,
 ) -> ShardReport {
-    let derive = DynHashDerive(job.algo);
-    run_shard(&derive, &job.target, &job.s_init, spec, job.deadline, checkpoint_interval, sink)
+    run_shard_clocked(
+        &DynHashDerive(job.algo),
+        &job.target,
+        &job.s_init,
+        spec,
+        job.deadline,
+        checkpoint_interval,
+        sink,
+        &wall_clock(),
+        BatchPolicy::default(),
+    )
 }
 
 #[cfg(test)]
@@ -458,6 +391,7 @@ mod tests {
 
     #[test]
     fn sharded_sweep_agrees_with_the_engine() {
+        use crate::backend::{CpuBackend, SearchBackend};
         use crate::engine::{EngineConfig, Outcome, SearchEngine};
         let base = U256::from_u64(0x5151);
         let client = base.flip_bit(100).flip_bit(101);
@@ -478,5 +412,24 @@ mod tests {
             })
             .expect("some shard holds the seed");
         assert_eq!(engine_outcome, Outcome::Found { seed: sharded, distance: 2 });
+
+        // Both callers of the search loop bill identically: at one fixed
+        // batch, a one-thread engine and one whole-distance shard per
+        // distance cut the same batches and stop at the same mask.
+        let cpu = CpuBackend::new(EngineConfig {
+            threads: 1,
+            batch: BatchPolicy::Fixed(64),
+            ..Default::default()
+        });
+        let report = cpu.submit(&job);
+        let mut cost = SearchCost::default();
+        for d in 1..=2 {
+            let spec = &ShardSpec::plan(&ChaseTable::build(d, 1), 0)[0];
+            let shard = cpu.run_shard(&job, spec, DEFAULT_CHECKPOINT_INTERVAL, &NullSink);
+            assert_eq!(shard.swept, report.per_distance[d as usize].seeds, "d={d}");
+            cost += shard.cost;
+        }
+        assert_eq!(cost.prefix_hits, 1, "only the planted seed passes the prescreen");
+        assert_eq!(report.cost, Some(cost));
     }
 }

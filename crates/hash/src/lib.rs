@@ -46,7 +46,6 @@ pub mod lanes_avx512;
 pub mod sha1;
 pub mod sha2;
 pub mod sha3;
-pub mod sha512;
 pub mod shake;
 
 use core::fmt;

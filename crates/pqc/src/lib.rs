@@ -15,10 +15,8 @@
 #![warn(missing_docs)]
 
 pub mod dilithium;
-pub mod kyber;
 pub mod poly;
 pub mod saber;
-pub mod sphincs;
 
 use rbc_bits::U256;
 use rbc_hash::sha3::Sha3_256;
@@ -67,35 +65,6 @@ impl PqcKeyGen for LightSaber {
     }
 }
 
-/// Kyber768 keygen (see [`kyber`]) — one of the NIST-selected KEMs the
-/// paper lists as a valid post-search key generator.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Kyber768;
-
-impl PqcKeyGen for Kyber768 {
-    const NAME: &'static str = "Kyber768";
-
-    fn public_key(&self, seed: &U256) -> Vec<u8> {
-        let (pk, _) = kyber::keygen(&seed.to_le_bytes());
-        pk.to_bytes()
-    }
-}
-
-/// SPHINCS⁺-style hash-based keygen (see [`sphincs`]) — the most
-/// expensive per-candidate derivation in the suite, and the other
-/// NIST-selected signature family the paper names.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SphincsPlus;
-
-impl PqcKeyGen for SphincsPlus {
-    const NAME: &'static str = "SPHINCS+";
-
-    fn public_key(&self, seed: &U256) -> Vec<u8> {
-        let (pk, _) = sphincs::keygen(&seed.to_le_bytes());
-        pk.to_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,17 +89,6 @@ mod tests {
     fn names_match_table7() {
         assert_eq!(Dilithium3::NAME, "Dilithium3");
         assert_eq!(LightSaber::NAME, "LightSABER");
-        assert_eq!(Kyber768::NAME, "Kyber768");
-    }
-
-    #[test]
-    fn kyber_keygen_via_trait() {
-        let a = U256::from_u64(5);
-        let b = U256::from_u64(6);
-        assert_eq!(Kyber768.response(&a), Kyber768.response(&a));
-        assert_ne!(Kyber768.response(&a), Kyber768.response(&b));
-        assert_ne!(Kyber768.response(&a), Dilithium3.response(&a));
-        assert_eq!(Kyber768.public_key(&a).len(), 32 + 3 * 256 * 2);
     }
 
     #[test]

@@ -90,7 +90,7 @@ impl ReceiptVerdict {
 /// The resource bill of one authentication: minted by the service layer
 /// from the CA's identity (client, difficulty), the dispatcher's
 /// accounting (queue wait, backend, occupancy), and the backend's
-/// report extras (hashes, batches, prescreen counters).
+/// report (hashes, and the search cost: batches, prescreen counters).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CostReceipt {
     /// The client whose credential drove the search.

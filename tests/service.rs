@@ -118,6 +118,7 @@ impl SearchBackend for SlowBackend {
             per_distance: Vec::new(),
             algorithm: job.algo.name(),
             threads: 1,
+            cost: None,
             extras: Vec::new(),
         }
     }
