@@ -306,8 +306,8 @@ fn table5(opts: &Opts) {
 
     // Local ground truth: measured single-thread rates on this host,
     // extrapolated to PlatformA's 64 cores with §4.3's efficiency curve.
-    // The batched rate — interleaved lanes + prefix prescreen, the engine's
-    // deployed hot loop — drives the extrapolation; the scalar rate is
+    // The batched rate — Chase refill + fused prefix prescreen, the
+    // engine's deployed hot loop — drives the extrapolation; the scalar rate is
     // shown for the lane-speedup context.
     let n = if opts.quick { 50_000 } else { 400_000 };
     let sha1 = MeasuredRate {
@@ -640,11 +640,11 @@ fn hash_lanes(opts: &Opts) {
         return;
     }
 
-    // End-to-end batched derivation (mask refill + XOR + prefix64 batch)
+    // End-to-end batched derivation (Chase mask refill + fused prescreen)
     // vs the scalar per-candidate loop — what the engine workers run.
     let m = if opts.quick { 50_000 } else { 400_000 };
     let mut t = TextTable::new(
-        "Batched engine hot path: seeds/s, 1 thread (mask refill + XOR + prescreen)",
+        "Batched engine hot path: seeds/s, 1 thread (Chase mask refill + fused prescreen)",
         &["Hash", "scalar derive", "batched (batch=64)", "speedup"],
     );
     for (name, scalar, batched) in [

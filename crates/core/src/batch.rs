@@ -58,9 +58,14 @@ impl AdaptiveBatch {
     pub const POLL_BUDGET: f64 = 0.02;
 
     /// Conservative per-seed hash cost in nanoseconds used for the
-    /// overhead floor — between measured AVX-512 SHA-1 (~2 ns/seed) and
-    /// portable SHA-3 (~300 ns/seed); only the floor's order of magnitude
-    /// matters, and a smaller constant yields a larger (safer) floor.
+    /// overhead floor — between one-thread AVX-512 SHA-1 and portable
+    /// SHA-3 (~300 ns/seed). On a 2-core AVX-512 host the benchmark
+    /// ladder's SHA-1 kernel rung (`ladder.sha1.kernel_ns_per_hash`) read
+    /// 20–25 ns/hash while the 16-lane kernel transposed its seeds in
+    /// scalar code, and 13–16 ns/hash once it gathered them. Only the
+    /// floor's order of magnitude matters, a smaller constant yields a
+    /// larger (safer) floor, and the constant sets batch sizes, so it
+    /// stays fixed when kernels get faster.
     const NOMINAL_SEED_NS: f64 = 15.0;
 
     /// Per-refill overhead in nanoseconds (a deadline check plus a

@@ -41,26 +41,40 @@ pub trait Derive: Clone + Send + Sync + 'static {
     /// little-endian), or `None` when this derivation has no cheap
     /// truncated path.
     ///
-    /// When `Some`, batch engines compare each candidate's
-    /// [`Derive::prefix64_batch`] key against the target's key and pay for
-    /// a full derivation + compare only on prefix hits. A prefix collision
-    /// without digest equality occurs with probability 2⁻⁶⁴ per candidate
-    /// and is resolved by that full compare, so results are identical to
-    /// the full-compare path.
+    /// When `Some`, the search loop asks [`Derive::prefix_hits`] which
+    /// candidates' keys equal the target's key and pays for a full
+    /// derivation + compare only on those. A prefix collision without
+    /// digest equality occurs with probability 2⁻⁶⁴ per candidate and is
+    /// resolved by that full compare, so results are identical to the
+    /// full-compare path.
     #[inline]
     fn prefix64(&self, _out: &Self::Out) -> Option<u64> {
         None
     }
 
-    /// 64-bit prescreen keys for a batch of seeds, clearing and refilling
-    /// `out`. Only called by engines when [`Derive::prefix64`] returned
-    /// `Some` for the target; the default derives fully and truncates.
-    fn prefix64_batch(&self, seeds: &[U256], out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(seeds.iter().map(|s| {
-            self.prefix64(&self.derive(s))
-                .expect("prefix64_batch called on a derivation without prefix support")
-        }));
+    /// The prescreen of one batch: clears `hits`, then pushes, in
+    /// ascending order, every index `i` whose candidate
+    /// `s_init ^ masks[i]` has prescreen key `target_prefix`. Only called
+    /// when [`Derive::prefix64`] returned `Some` for the target; the
+    /// default derives each candidate fully and truncates. Hash
+    /// derivations override with fused kernels that XOR, hash and compare
+    /// without materializing the candidates.
+    fn prefix_hits(
+        &self,
+        s_init: &U256,
+        masks: &[U256],
+        target_prefix: u64,
+        hits: &mut Vec<usize>,
+    ) {
+        hits.clear();
+        for (i, mask) in masks.iter().enumerate() {
+            let key = self
+                .prefix64(&self.derive(&(*s_init ^ *mask)))
+                .expect("prefix_hits called on a derivation without prefix support");
+            if key == target_prefix {
+                hits.push(i);
+            }
+        }
     }
 }
 
@@ -89,8 +103,14 @@ impl<H: SeedHash> Derive for HashDerive<H> {
         Some(H::prefix64_of(out))
     }
 
-    fn prefix64_batch(&self, seeds: &[U256], out: &mut Vec<u64>) {
-        self.0.prefix64_batch(seeds, out);
+    fn prefix_hits(
+        &self,
+        s_init: &U256,
+        masks: &[U256],
+        target_prefix: u64,
+        hits: &mut Vec<usize>,
+    ) {
+        self.0.prefix_hits(s_init, masks, target_prefix, hits);
     }
 }
 
@@ -98,7 +118,7 @@ impl<H: SeedHash> Derive for HashDerive<H> {
 /// different SHA variants. Static-dispatch engines (used by the benches)
 /// avoid the indirection; here the cost is one dynamic dispatch per
 /// *batch*, not per candidate — the batch and prescreen entry points
-/// forward to the same interleaved lane kernels ([`rbc_hash::lanes`]) the
+/// forward to the same dispatched kernels ([`rbc_hash::dispatch`]) the
 /// static [`HashDerive`] engines run, so CA-driven searches take the same
 /// hot path as the benches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,8 +145,14 @@ impl Derive for DynHashDerive {
         Some(out.prefix64())
     }
 
-    fn prefix64_batch(&self, seeds: &[U256], out: &mut Vec<u64>) {
-        self.0.prefix64_batch(seeds, out);
+    fn prefix_hits(
+        &self,
+        s_init: &U256,
+        masks: &[U256],
+        target_prefix: u64,
+        hits: &mut Vec<usize>,
+    ) {
+        self.0.prefix_hits(s_init, masks, target_prefix, hits);
     }
 }
 
@@ -215,20 +241,48 @@ mod tests {
         }
     }
 
+    /// A hash derivation without the fused prescreen, so `prefix_hits`
+    /// takes the trait's default: derive fully, truncate, compare.
+    #[derive(Clone)]
+    struct Unfused<D>(D);
+
+    impl<D: Derive> Derive for Unfused<D> {
+        type Out = D::Out;
+
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn derive(&self, seed: &U256) -> D::Out {
+            self.0.derive(seed)
+        }
+
+        fn prefix64(&self, out: &D::Out) -> Option<u64> {
+            self.0.prefix64(out)
+        }
+    }
+
     #[test]
-    fn dyn_hash_derive_prescreen_matches_static_lanes() {
-        // The CA's runtime-dispatched derivation must produce exactly the
-        // prefixes the static lane kernels produce — same prescreen
-        // decisions on the same hot path.
-        let seeds: Vec<U256> = (0..19u64).map(|i| U256::from_u64(i * 31 + 5)).collect();
-        let dynamic = DynHashDerive(HashAlgo::Sha3_256);
-        let mut dyn_prefixes = Vec::new();
-        dynamic.prefix64_batch(&seeds, &mut dyn_prefixes);
-        let mut static_prefixes = Vec::new();
-        HashDerive(Sha3Fixed).prefix64_batch(&seeds, &mut static_prefixes);
-        assert_eq!(dyn_prefixes, static_prefixes);
-        for (s, p) in seeds.iter().zip(&dyn_prefixes) {
-            assert_eq!(dynamic.prefix64(&dynamic.derive(s)), Some(*p));
+    fn fused_prescreens_match_the_default_for_every_hash() {
+        // The CA's runtime-dispatched derivation and the static engines'
+        // must pick exactly the candidates the unfused default picks —
+        // same prescreen decisions on the same hot path.
+        let s_init = U256::from_limbs([3, 1, 4, 1]);
+        let masks: Vec<U256> = (0..53u64).map(|i| U256::from_u64(i * 31 + 5)).collect();
+        fn check<D: Derive>(d: D, s_init: &U256, masks: &[U256]) {
+            let (mut got, mut want) = (vec![usize::MAX], Vec::new());
+            for pick in [0, 17, masks.len() - 1] {
+                let tp = d.prefix64(&d.derive(&(*s_init ^ masks[pick]))).unwrap();
+                d.prefix_hits(s_init, masks, tp, &mut got);
+                Unfused(d.clone()).prefix_hits(s_init, masks, tp, &mut want);
+                assert_eq!(got, want, "{} pick {pick}", d.name());
+                assert_eq!(got, vec![pick], "{}", d.name());
+            }
+        }
+        check(HashDerive(Sha1Fixed), &s_init, &masks);
+        check(HashDerive(Sha3Fixed), &s_init, &masks);
+        for algo in HashAlgo::ALL {
+            check(DynHashDerive(algo), &s_init, &masks);
         }
     }
 
@@ -241,9 +295,9 @@ mod tests {
         first.copy_from_slice(&digest[..8]);
         assert_eq!(h.prefix64(&digest), Some(u64::from_le_bytes(first)));
 
-        let mut prefixes = Vec::new();
-        h.prefix64_batch(&[seed], &mut prefixes);
-        assert_eq!(prefixes, vec![u64::from_le_bytes(first)]);
+        let mut hits = Vec::new();
+        h.prefix_hits(&seed, &[U256::ZERO, U256::ONE], u64::from_le_bytes(first), &mut hits);
+        assert_eq!(hits, vec![0]);
 
         let c = CipherDerive(AesResponse);
         assert_eq!(c.prefix64(&c.derive(&seed)), None);

@@ -3,13 +3,16 @@
 //! Algorithm 1 is one loop: derive the candidates of a mask range,
 //! compare them, stop on a hit or at the threshold `T`. The engine's
 //! workers, the checkpointable shard sweep and the cluster's nodes all run
-//! it through `sweep`, and differ only in a stop policy. Each refill XORs
-//! a batch of masks into candidate seeds; hash targets are prescreened on
-//! the 64-bit digest prefix ([`Derive::prefix64_batch`]) and only prefix
-//! hits (p = 2⁻⁶⁴ per non-matching candidate) pay for a full derivation,
-//! so accept/reject decisions are bit-identical to a full compare.
-//! Derivations without a prefix path (cipher / PQC keygen) take
-//! full-compare batches. Stop polls are paid once per batch.
+//! it through `sweep`, and differ only in a stop policy. Each refill takes
+//! a batch of masks from the stream. Hash targets are prescreened on the
+//! 64-bit digest prefix with one [`Derive::prefix_hits`] call per batch,
+//! whose fused kernels XOR the masks into candidates, hash them and
+//! compare the prefixes in registers, returning only the indices that
+//! match. Only those prefix hits (p = 2⁻⁶⁴ per non-matching candidate)
+//! are rebuilt as seeds and pay for a full derivation, so accept/reject
+//! decisions are bit-identical to a full compare. Derivations without a
+//! prefix path (cipher / PQC keygen) XOR the batch into candidate seeds
+//! and take full-compare batches. Stop polls are paid once per batch.
 
 use std::ops::AddAssign;
 
@@ -88,33 +91,36 @@ pub(crate) fn sweep<D: Derive, S: MaskSource>(
 ) -> (u64, SearchCost) {
     let target_prefix = derive.prefix64(target);
     let mut masks = vec![U256::ZERO; batch];
-    let mut seeds: Vec<U256> = Vec::with_capacity(batch);
-    let mut outs: Vec<D::Out> = Vec::with_capacity(batch);
-    let mut prefixes: Vec<u64> = Vec::with_capacity(batch);
+    let mut hits: Vec<usize> = Vec::new();
+    // Only the full-compare path materializes candidates.
+    let mut seeds: Vec<U256> = Vec::new();
+    let mut outs: Vec<D::Out> = Vec::new();
     let (mut swept, mut total) = (0u64, SearchCost::default());
     loop {
         let n = stream.next_batch(&mut masks);
         if n == 0 {
             return (swept, total);
         }
-        seeds.clear();
-        seeds.extend(masks[..n].iter().map(|m| *s_init ^ *m));
+        let batch_masks = &masks[..n];
         swept += n as u64;
 
         let mut cost = SearchCost { batches: 1, ..SearchCost::default() };
         let mut stop = false;
         if let Some(tp) = target_prefix {
-            derive.prefix64_batch(&seeds, &mut prefixes);
-            for (seed, _) in seeds.iter().zip(&prefixes).filter(|&(_, &p)| p == tp) {
+            derive.prefix_hits(s_init, batch_masks, tp, &mut hits);
+            for &i in &hits {
+                let seed = *s_init ^ batch_masks[i];
                 cost.prefix_hits += 1;
-                if derive.derive(seed) != *target {
+                if derive.derive(&seed) != *target {
                     cost.prefix_false_positives += 1;
-                } else if policy.hit(*seed) {
+                } else if policy.hit(seed) {
                     stop = true;
                     break;
                 }
             }
         } else {
+            seeds.clear();
+            seeds.extend(batch_masks.iter().map(|m| *s_init ^ *m));
             derive.derive_batch(&seeds, &mut outs);
             stop = seeds.iter().zip(&outs).any(|(seed, out)| *out == *target && policy.hit(*seed));
         }

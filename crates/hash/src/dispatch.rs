@@ -5,21 +5,32 @@
 //! dispatcher probes the host once (`is_x86_feature_detected!`) and picks
 //! the widest instruction-set tier the CPU executes:
 //!
-//! | tier       | SHA-1 kernel      | SHA3-256 kernel |
-//! |------------|-------------------|-----------------|
-//! | `avx512`   | 16-wide `__m512i` | 8-wide `__m512i`|
-//! | `avx2`     | 8-wide `__m256i`  | 4-wide `__m256i`|
-//! | `portable` | scalar            | scalar          |
+//! | tier       | SHA-1 kernel                         | SHA3-256 kernel  |
+//! |------------|--------------------------------------|------------------|
+//! | `avx512`   | 32-wide (2 × `__m512i`), 16-wide     | 8-wide `__m512i` |
+//! | `avx2`     | 8-wide `__m256i`                     | 4-wide `__m256i` |
+//! | `portable` | scalar                               | scalar           |
 //!
 //! Within a batch the dispatcher drains the widest selected kernel first,
 //! then the next, and finishes the tail scalar — so every batch length is
-//! bit-identical to the scalar path regardless of tier. The portable tier
-//! selects no interleaved kernel at all: without `target-cpu=native` the
-//! autovectorized interleaves in [`crate::lanes`] measured *below* scalar
-//! (0.86–0.95x SHA-1, 0.77–0.90x SHA-3), so the honest portable plan is
-//! empty and the whole batch drains through the scalar tail. Since the
-//! explicit kernels no longer rely on build flags at all, the workspace
-//! builds without `.cargo/config.toml`.
+//! bit-identical to the scalar path regardless of tier.
+//!
+//! The search loop's prescreen is one call per batch:
+//! [`sha1_prefix_hits`] / [`sha3_256_prefix_hits`] take the worker's
+//! `s_init`, the batch's masks and the target prefix, and return the
+//! indices whose candidate matches. At the AVX-512 tier the kernels XOR,
+//! hash and compare in registers — SHA-1 over two interleaved 16-lane
+//! blocks (the 32-wide row), then one block; digest and prefix64 batches
+//! start at 16 lanes, and one round core serves all three. Below
+//! AVX-512 the prescreens XOR stack chunks into seeds and compare the
+//! narrower kernels' prefixes, with no heap allocation.
+//!
+//! The portable tier selects no interleaved kernel at all: without
+//! `target-cpu=native` the autovectorized interleaves in [`crate::lanes`]
+//! measured *below* scalar (0.86–0.95x SHA-1, 0.77–0.90x SHA-3), so the
+//! honest portable plan is empty and the whole batch drains through the
+//! scalar tail. Since the explicit kernels no longer rely on build flags
+//! at all, the workspace builds without `.cargo/config.toml`.
 //!
 //! The SHA3-256 two-lane interleave (`lanes::sha3_256_fixed32_x2`) is
 //! deliberately **not** in any tier: two 25-word Keccak states (50 live
@@ -160,11 +171,14 @@ pub struct KernelSelection {
 
 /// The (algo, width, kernel) table the dispatcher drains batches through
 /// at the current [`active_level`], widest first per algorithm. Scalar
-/// tails (width 1) are implied and not listed.
+/// tails (width 1) are implied and not listed. The SHA-1 width-32 row is
+/// the fused prescreen's ([`sha1_prefix_hits`]); the other SHA-1 entry
+/// points start at width 16.
 pub fn kernel_plan() -> Vec<KernelSelection> {
     let row = |algo, width, kernel| KernelSelection { algo, width, kernel };
     match active_level() {
         SimdLevel::Avx512 => vec![
+            row("SHA-1", 32, SimdLevel::Avx512),
             row("SHA-1", 16, SimdLevel::Avx512),
             row("SHA-1", 8, SimdLevel::Avx2),
             row("SHA-3", 8, SimdLevel::Avx512),
@@ -295,6 +309,93 @@ pub fn sha3_256_prefix64_batch(seeds: &[U256], out: &mut Vec<u64>) {
     out.extend(rest.iter().map(lanes::sha3_256_fixed32_prefix64));
 }
 
+/// Pushes `base + i` for every mask `i` among whole `W`-mask chunks of
+/// `masks` whose seed `s_init ^ masks[i]` has prefix `target_prefix`
+/// under `kernel`, XORing each chunk into seeds on the stack; returns the
+/// masks consumed.
+fn chunked_hits<const W: usize>(
+    s_init: &U256,
+    masks: &[U256],
+    target_prefix: u64,
+    base: usize,
+    hits: &mut Vec<usize>,
+    kernel: fn(&[U256; W]) -> [u64; W],
+) -> usize {
+    let chunks = masks.chunks_exact(W);
+    let consumed = masks.len() - chunks.remainder().len();
+    for (c, chunk) in chunks.enumerate() {
+        let seeds: [U256; W] = core::array::from_fn(|i| *s_init ^ chunk[i]);
+        for (lane, prefix) in kernel(&seeds).into_iter().enumerate() {
+            if prefix == target_prefix {
+                hits.push(base + c * W + lane);
+            }
+        }
+    }
+    consumed
+}
+
+/// The search loop's prescreen under SHA-1: clears `hits`, then pushes,
+/// in ascending order, every index `i` whose candidate seed
+/// `s_init ^ masks[i]` has 64-bit digest prefix `target_prefix`, at the
+/// active tier. The same indices as filtering
+/// `sha1_fixed32_prefix64(s_init ^ m) == target_prefix` for every tier
+/// and length.
+///
+/// At the AVX-512 tier the seeds are XORed, hashed and compared in
+/// registers (32 masks per call, then 16); narrower tiers XOR chunks
+/// into seeds on the stack and compare their prefixes. No tier
+/// allocates beyond `hits`.
+pub fn sha1_prefix_hits(s_init: &U256, masks: &[U256], target_prefix: u64, hits: &mut Vec<usize>) {
+    let tp = target_prefix;
+    hits.clear();
+    let mut done = 0;
+    match active_level() {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => {
+            done = lanes_avx512::sha1_prefix_hits(s_init, masks, tp, hits);
+            let x8 = lanes_avx2::sha1_fixed32_prefix64_x8;
+            done += chunked_hits(s_init, &masks[done..], tp, done, hits, x8);
+        }
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            done = chunked_hits(s_init, masks, tp, 0, hits, lanes_avx2::sha1_fixed32_prefix64_x8);
+        }
+        _ => {}
+    }
+    let scalar = |s: &[U256; 1]| [lanes::sha1_fixed32_prefix64(&s[0])];
+    chunked_hits(s_init, &masks[done..], tp, done, hits, scalar);
+}
+
+/// [`sha1_prefix_hits`] under SHA3-256: the AVX-512 tier gathers, XORs
+/// and compares 8 masks per Keccak call in registers, then the AVX2 x4
+/// kernel and the scalar path drain the rest.
+pub fn sha3_256_prefix_hits(
+    s_init: &U256,
+    masks: &[U256],
+    target_prefix: u64,
+    hits: &mut Vec<usize>,
+) {
+    let tp = target_prefix;
+    hits.clear();
+    let mut done = 0;
+    match active_level() {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => {
+            done = lanes_avx512::sha3_256_prefix_hits(s_init, masks, tp, hits);
+            let x4 = lanes_avx2::sha3_256_fixed32_prefix64_x4;
+            done += chunked_hits(s_init, &masks[done..], tp, done, hits, x4);
+        }
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            let x4 = lanes_avx2::sha3_256_fixed32_prefix64_x4;
+            done = chunked_hits(s_init, masks, tp, 0, hits, x4);
+        }
+        _ => {}
+    }
+    let scalar = |s: &[U256; 1]| [lanes::sha3_256_fixed32_prefix64(&s[0])];
+    chunked_hits(s_init, &masks[done..], tp, done, hits, scalar);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,22 +469,33 @@ mod tests {
         let seeds: Vec<U256> = (0..37u64)
             .map(|i| U256::from_limbs([i.wrapping_mul(0x9E37_79B9), !i, i << 9, i ^ 0xA5]))
             .collect();
+        // 70 masks drain x32 twice, then x8 and a scalar tail at AVX-512.
+        let s_init = seeds[5];
+        let masks: Vec<U256> = (0..70).map(|i| seeds[i % seeds.len()]).collect();
+        let tp1 = lanes::sha1_fixed32_prefix64(&(s_init ^ masks[40]));
+        let tp3 = lanes::sha3_256_fixed32_prefix64(&(s_init ^ masks[40]));
         let detected = detected_level();
         let mut want1: Vec<Sha1Digest> = Vec::new();
         let mut want3: Vec<Sha3_256Digest> = Vec::new();
         let mut wantp1: Vec<u64> = Vec::new();
         let mut wantp3: Vec<u64> = Vec::new();
-        for (i, level) in SimdLevel::ALL.iter().enumerate() {
-            if *level > detected {
+        for level in SimdLevel::ALL {
+            if level > detected {
                 continue;
             }
-            force_level(Some(*level));
+            force_level(Some(level));
             let (mut d1, mut d3, mut p1, mut p3) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            let (mut h1, mut h3) = (Vec::new(), Vec::new());
             sha1_digest_batch(&seeds, &mut d1);
             sha3_256_digest_batch(&seeds, &mut d3);
             sha1_prefix64_batch(&seeds, &mut p1);
             sha3_256_prefix64_batch(&seeds, &mut p3);
-            if i == 0 {
+            sha1_prefix_hits(&s_init, &masks, tp1, &mut h1);
+            sha3_256_prefix_hits(&s_init, &masks, tp3, &mut h3);
+            // masks[40] repeats masks[3] (the seeds cycle every 37): both hit.
+            assert_eq!(h1, vec![3, 40], "sha1 prefix hits @ {level}");
+            assert_eq!(h3, vec![3, 40], "sha3 prefix hits @ {level}");
+            if level == SimdLevel::Portable {
                 (want1, want3, wantp1, wantp3) = (d1, d3, p1, p3);
             } else {
                 assert_eq!(d1, want1, "sha1 digests @ {level}");
