@@ -841,6 +841,12 @@ pub struct TelemetryRow {
     pub substrate: String,
     /// Authentications driven through the pipeline.
     pub auths: u64,
+    /// Mean time to answer a hello (session open + record unseal),
+    /// milliseconds (`rbc_service_hello_ns`).
+    pub hello_ms: f64,
+    /// Mean digest validation + search-job build under the CA lock,
+    /// milliseconds (`rbc_service_prepare_ns`).
+    pub prepare_ms: f64,
     /// Mean dispatcher queue wait, milliseconds
     /// (`rbc_service_queue_wait_ns`).
     pub queue_wait_ms: f64,
@@ -859,7 +865,9 @@ pub struct TelemetryRow {
 
 impl TelemetryRow {
     /// The registry histogram each phase column is read from.
-    pub const PHASES: [(&'static str, &'static str); 4] = [
+    pub const PHASES: [(&'static str, &'static str); 6] = [
+        ("hello_ms", "rbc_service_hello_ns"),
+        ("prepare_ms", "rbc_service_prepare_ns"),
         ("queue_wait_ms", "rbc_service_queue_wait_ns"),
         ("search_ms", "rbc_service_search_ns"),
         ("keygen_ms", "rbc_ca_keygen_ns"),
@@ -877,6 +885,8 @@ impl TelemetryRow {
         TelemetryRow {
             substrate: substrate.to_string(),
             auths: total.map_or(0, |h| h.count),
+            hello_ms: mean_ms("rbc_service_hello_ns"),
+            prepare_ms: mean_ms("rbc_service_prepare_ns"),
             queue_wait_ms: mean_ms("rbc_service_queue_wait_ns"),
             search_ms: mean_ms("rbc_service_search_ns"),
             keygen_ms: mean_ms("rbc_ca_keygen_ns"),
@@ -890,12 +900,24 @@ impl TelemetryRow {
 pub fn telemetry_table(rows: &[TelemetryRow]) -> TextTable {
     let mut t = TextTable::new(
         "Telemetry: per-phase mean latency by substrate (shared registry histograms)",
-        &["substrate", "auths", "queue wait", "search", "keygen", "total", "p95 total"],
+        &[
+            "substrate",
+            "auths",
+            "hello",
+            "prepare",
+            "queue wait",
+            "search",
+            "keygen",
+            "total",
+            "p95 total",
+        ],
     );
     for r in rows {
         t.row(&[
             r.substrate.clone(),
             r.auths.to_string(),
+            fmt_secs(r.hello_ms / 1e3),
+            fmt_secs(r.prepare_ms / 1e3),
             fmt_secs(r.queue_wait_ms / 1e3),
             fmt_secs(r.search_ms / 1e3),
             fmt_secs(r.keygen_ms / 1e3),
@@ -923,7 +945,10 @@ pub fn write_telemetry_json(path: &str, rows: &[TelemetryRow]) -> std::io::Resul
 
 /// Validates a `BENCH_telemetry.json` document: parses, checks the
 /// envelope, and requires every phase column on at least two distinct
-/// substrates — the `repro telemetry --smoke` CI gate.
+/// substrates — the `repro telemetry --smoke` CI gate. On the `cpu` row
+/// the CA's fixed per-request cost must stay below the keygen it guards:
+/// `hello_ms + prepare_ms < keygen_ms`. Both sides come from the same
+/// run, so host speed cancels out of the ratio.
 pub fn validate_telemetry_json(text: &str) -> Result<(), String> {
     let doc: serde_json::Value =
         serde_json::from_str(text).map_err(|e| format!("not JSON: {e}"))?;
@@ -951,16 +976,26 @@ pub fn validate_telemetry_json(text: &str) -> Result<(), String> {
         if auths == 0 {
             return Err(format!("row {i} ({substrate}): zero authentications recorded"));
         }
-        for (field, metric) in TelemetryRow::PHASES {
+        let mut phase_ms = [0.0; TelemetryRow::PHASES.len()];
+        for ((field, metric), slot) in TelemetryRow::PHASES.into_iter().zip(&mut phase_ms) {
             let v = row.field(field).ok().and_then(serde_json::Value::as_f64);
             match v {
-                Some(ms) if ms.is_finite() && ms >= 0.0 => {}
+                Some(ms) if ms.is_finite() && ms >= 0.0 => *slot = ms,
                 other => {
                     return Err(format!(
                         "row {i} ({substrate}): phase {field} (from {metric}) is {other:?}"
                     ))
                 }
             }
+        }
+        // In `PHASES` order.
+        let [hello, prepare, _, _, keygen, _] = phase_ms;
+        if substrate == "cpu" && hello + prepare >= keygen {
+            return Err(format!(
+                "row {i} ({substrate}): hello_ms + prepare_ms = {:.3} ms is not below \
+                 keygen_ms = {keygen:.3} ms",
+                hello + prepare
+            ));
         }
         if !substrates.contains(&substrate.to_string()) {
             substrates.push(substrate.to_string());
@@ -1409,6 +1444,8 @@ mod tests {
         let row = |s: &str| TelemetryRow {
             substrate: s.into(),
             auths: 4,
+            hello_ms: 0.02,
+            prepare_ms: 0.01,
             queue_wait_ms: 0.1,
             search_ms: 5.0,
             keygen_ms: 1.0,
@@ -1434,6 +1471,17 @@ mod tests {
         .expect("string");
         let err = validate_telemetry_json(&one).expect_err("one substrate is not enough");
         assert!(err.contains("2 substrates"), "{err}");
+
+        // The CA's fixed cost must stay below keygen on the cpu row.
+        let slow = TelemetryRow { hello_ms: 0.9, prepare_ms: 0.9, ..row("cpu") };
+        let doc = serde_json::to_string(&serde_json::Value::Object(vec![
+            ("bench".into(), serde_json::Value::Str("telemetry".into())),
+            ("unit".into(), serde_json::Value::Str("ms".into())),
+            ("results".into(), serde_json::to_value(&vec![slow, row("gpu-sim")]).expect("value")),
+        ]))
+        .expect("string");
+        let err = validate_telemetry_json(&doc).expect_err("fixed cost above keygen");
+        assert!(err.contains("keygen_ms"), "{err}");
     }
 
     #[test]

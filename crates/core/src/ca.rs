@@ -11,6 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rand::Rng;
+use rbc_bits::U256;
 use rbc_hash::HashAlgo;
 use rbc_pqc::PqcKeyGen;
 use rbc_puf::{enroll, EnrollmentConfig, PufDevice};
@@ -155,6 +156,19 @@ impl CaTelemetry {
     }
 }
 
+/// A challenge the CA has issued and not yet seen answered. It keeps the
+/// reference seed and salt (68 bytes of key material) of the one record
+/// `begin` unsealed, so `prepare` builds the search without touching the
+/// store, against the image the challenge named even if the client
+/// re-enrolls in between.
+struct OpenSession {
+    client_id: ClientId,
+    /// Reference seed of the image whose cells the challenge named.
+    reference: U256,
+    salt: Salt,
+    trace: TraceContext,
+}
+
 /// The certificate authority.
 pub struct CertificateAuthority<P: PqcKeyGen> {
     cfg: CaConfig,
@@ -162,9 +176,9 @@ pub struct CertificateAuthority<P: PqcKeyGen> {
     keygen: P,
     backend: Arc<dyn SearchBackend>,
     ra: RegistrationAuthority,
-    /// Open sessions: nonce → (client, enrolled-address index
-    /// challenged, trace context minted at hello).
-    sessions: HashMap<u64, (ClientId, usize, TraceContext)>,
+    /// Open sessions by nonce, each with the trace context minted at
+    /// hello; see [`OpenSession`].
+    sessions: HashMap<u64, OpenSession>,
     /// Per-client cursor into its enrolled addresses; bumped after a
     /// timeout so the next challenge uses a fresh address (the paper's
     /// restart rule).
@@ -184,6 +198,9 @@ pub enum CaError {
     UnknownSession(u64),
     /// Enrollment failed (e.g. not enough stable cells at this address).
     Enrollment(String),
+    /// The client's sealed record failed its integrity check or did not
+    /// decode.
+    CorruptRecord(ClientId),
 }
 
 impl core::fmt::Display for CaError {
@@ -192,6 +209,7 @@ impl core::fmt::Display for CaError {
             CaError::UnknownClient(id) => write!(f, "unknown client {id}"),
             CaError::UnknownSession(s) => write!(f, "unknown session {s}"),
             CaError::Enrollment(e) => write!(f, "enrollment failed: {e}"),
+            CaError::CorruptRecord(id) => write!(f, "corrupt enrollment record for client {id}"),
         }
     }
 }
@@ -280,20 +298,34 @@ impl<P: PqcKeyGen> CertificateAuthority<P> {
     }
 
     /// Handles a hello: opens a session and issues the challenge, using
-    /// the client's current address cursor (advanced on timeouts).
+    /// the client's current address cursor (advanced on timeouts). This
+    /// unseals exactly one record — the one at the cursor.
     pub fn begin(&mut self, hello: &HelloMsg) -> Result<ChallengeMsg, CaError> {
-        let records =
-            self.store.get_all(hello.client_id).ok_or(CaError::UnknownClient(hello.client_id))?;
-        let cursor = *self.address_cursor.get(&hello.client_id).unwrap_or(&0);
-        let index = cursor % records.len();
-        let record = &records[index];
+        let client_id = hello.client_id;
+        let count = self.store.record_count(client_id);
+        if count == 0 {
+            return Err(CaError::UnknownClient(client_id));
+        }
+        let cursor = *self.address_cursor.get(&client_id).unwrap_or(&0);
+        let record = self
+            .store
+            .get_at(client_id, cursor % count)
+            .ok_or(CaError::CorruptRecord(client_id))?;
         let session = self.next_session;
         self.next_session += 1;
-        self.sessions.insert(session, (hello.client_id, index, hello.trace));
-        Ok(ChallengeMsg {
-            client_id: hello.client_id,
+        self.sessions.insert(
             session,
-            cells: record.image.selected.clone(),
+            OpenSession {
+                client_id,
+                reference: record.image.reference,
+                salt: record.salt,
+                trace: hello.trace,
+            },
+        );
+        Ok(ChallengeMsg {
+            client_id,
+            session,
+            cells: record.image.selected,
             algo: self.cfg.algo,
             trace: hello.trace,
         })
@@ -311,26 +343,24 @@ impl<P: PqcKeyGen> CertificateAuthority<P> {
     /// Validates the digest message and builds the search job, consuming
     /// the session. The caller runs the job on any backend (or through a
     /// dispatcher) and hands the report to
-    /// [`CertificateAuthority::finish`].
+    /// [`CertificateAuthority::finish`]. Reads only the session `begin`
+    /// opened; the store is not touched.
     pub fn prepare(&mut self, msg: &DigestMsg) -> Result<PendingAuth, CaError> {
-        let (client_id, index, trace) =
+        let OpenSession { client_id, reference, salt, trace } =
             self.sessions.remove(&msg.session).ok_or(CaError::UnknownSession(msg.session))?;
         if client_id != msg.client_id {
             return Err(CaError::UnknownSession(msg.session));
         }
-        let records = self.store.get_all(client_id).ok_or(CaError::UnknownClient(client_id))?;
-        let record = records.get(index).ok_or(CaError::UnknownClient(client_id))?;
 
         // The session-stored context (minted at hello) is authoritative;
         // the digest's echo is untrusted client input.
-        let mut job =
-            SearchJob::new(self.cfg.algo, msg.digest, record.image.reference, self.cfg.max_d)
-                .with_mode(self.cfg.engine.mode)
-                .with_trace(trace);
+        let mut job = SearchJob::new(self.cfg.algo, msg.digest, reference, self.cfg.max_d)
+            .with_mode(self.cfg.engine.mode)
+            .with_trace(trace);
         if let Some(deadline) = self.cfg.engine.deadline {
             job = job.with_deadline(deadline);
         }
-        Ok(PendingAuth { client_id, session: msg.session, salt: record.salt, trace, job })
+        Ok(PendingAuth { client_id, session: msg.session, salt, trace, job })
     }
 
     /// Turns a search report into the verdict for a prepared session:
@@ -603,6 +633,60 @@ mod tests {
             matches!(verdict.verdict, Verdict::Accepted { .. }),
             "retry at the fresh address must authenticate: {verdict:?}"
         );
+    }
+
+    #[test]
+    fn reenrolling_mid_session_still_searches_the_challenged_image() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let device = ModelPuf::noiseless(8192, 90);
+        let client = Client::new(9, device);
+        let mut ca = CertificateAuthority::new([9u8; 32], LightSaber, small_cfg());
+        ca.enroll_client(9, client.device(), 0, &mut rng).unwrap();
+        let challenge = ca.begin(&client.hello()).unwrap();
+
+        // Re-enrollment at another address replaces the stored image
+        // before the digest arrives.
+        ca.enroll_client(9, client.device(), 4096, &mut rng).unwrap();
+        let fresh = ca.store.get_at(9, 0).unwrap();
+        assert_ne!(fresh.image.selected, challenge.cells);
+
+        let digest = client.respond(&challenge, &mut rng);
+        let pending = ca.prepare(&digest).unwrap();
+        assert_ne!(pending.job.s_init, fresh.image.reference);
+        let report = ca.backend().submit(&pending.job);
+        match ca.finish(&pending, report).verdict {
+            Verdict::Accepted { distance, .. } => assert_eq!(distance, 0),
+            other => panic!("the challenged image must be searched, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn append_leaves_earlier_ciphertexts_untouched() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let device = ModelPuf::noiseless(8192, 100);
+        let mut ca = CertificateAuthority::new([10u8; 32], LightSaber, small_cfg());
+        ca.enroll_client(10, &device, 0, &mut rng).unwrap();
+        let first = ca.store.sealed_bytes(10, 0).unwrap().to_vec();
+        ca.enroll_additional_address(10, &device, 2048, &mut rng).unwrap();
+        ca.enroll_additional_address(10, &device, 4096, &mut rng).unwrap();
+        let second = ca.store.sealed_bytes(10, 1).unwrap().to_vec();
+        ca.enroll_additional_address(10, &device, 6144, &mut rng).unwrap();
+        assert_eq!(ca.store.record_count(10), 4);
+        assert_eq!(ca.store.sealed_bytes(10, 0).unwrap(), &first[..]);
+        assert_eq!(ca.store.sealed_bytes(10, 1).unwrap(), &second[..]);
+    }
+
+    #[test]
+    fn corrupt_record_fails_closed_at_hello() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let device = ModelPuf::noiseless(2048, 110);
+        let client = Client::new(11, device);
+        let mut ca = CertificateAuthority::new([11u8; 32], LightSaber, small_cfg());
+        ca.enroll_client(11, client.device(), 0, &mut rng).unwrap();
+        // Flip one bit of the ciphertext where the reference seed sits
+        // (after the 12-byte nonce, the magic word and the address).
+        ca.store.sealed_bytes_mut(11, 0).unwrap()[30] ^= 0x04;
+        assert_eq!(ca.begin(&client.hello()), Err(CaError::CorruptRecord(11)));
     }
 
     #[test]
