@@ -5,9 +5,10 @@
 //! isolates wrong-credential floods at orders-of-magnitude separation.
 //! This run closes the loop and measures *enforcement*
 //! ([`rbc_core::admission::AdmissionControl`]): the same honest
-//! population is driven twice on fresh virtual timelines — once alone
-//! (the no-flood baseline), once against a wrong-credential flood — and
-//! the service survives the attack or the run fails its cross-checks.
+//! population is driven twice through the virtual-time world of
+//! DESIGN.md §10, on fresh timelines — once alone (the no-flood
+//! baseline), once against a wrong-credential flood — and the service
+//! survives the attack or the run fails its cross-checks.
 //!
 //! The flood world exercises every enforcement mechanism:
 //!
@@ -39,28 +40,29 @@ use rand::SeedableRng;
 
 use rbc_core::admission::{AdmissionConfig, AdmissionControl, BrownoutLevel};
 use rbc_core::attack;
-use rbc_core::backend::{CpuBackend, SearchBackend};
-use rbc_core::ca::{CaConfig, CertificateAuthority};
-use rbc_core::chaos::{ChaosBackend, Fault};
-use rbc_core::clock::SimClock;
-use rbc_core::dispatch::{Dispatcher, DispatcherConfig, RoutePolicy};
-use rbc_core::engine::EngineConfig;
-use rbc_core::pool::{SupervisedPool, SupervisedPoolConfig};
 use rbc_core::protocol::{Client, DigestMsg, Verdict};
 use rbc_core::service::AuthService;
-use rbc_hash::{DynDigest, HashAlgo};
+use rbc_hash::DynDigest;
 use rbc_pqc::LightSaber;
 use rbc_puf::ModelPuf;
-use rbc_telemetry::{
-    attrib, exhaustion_slo, Alert, Attribution, MetricSnapshot, NullRecorder, Registry, Severity,
-    SloEvaluator,
-};
+use rbc_telemetry::{attrib, exhaustion_slo, Alert, Attribution, NullRecorder, SloEvaluator};
 
-use crate::sim::{fold, fold_bytes};
+use crate::world::{self, fold, ledger_violations, Actor, World, FLOOD_SALTS, MAX_D};
+use crate::FloodSchedule;
 
-/// Search bound: a wrong credential costs the full C(256,0..=2) =
-/// 32 897-derivation exhaustion unless the admission layer stops it.
-const MAX_D: u32 = 2;
+/// Dispatcher queue limit.
+const QUEUE_LIMIT: usize = 12;
+
+/// Known-bad credentials each attacker caches and replays.
+const ROTATION: usize = 2;
+
+/// Every Nth attacker request mints a fresh wrong credential instead of
+/// replaying the rotation (keeps draining the bucket).
+const FRESH_EVERY: usize = 4;
+
+/// Honest retry budget per authentication (each retry honors the
+/// server's `retry_after` hint first).
+const MAX_TRIES: u32 = 6;
 
 /// Parameters of one adversarial run (a baseline world plus a flood
 /// world, same seed). [`AdversarialConfig::standard`] is the
@@ -68,86 +70,44 @@ const MAX_D: u32 = 2;
 /// shrinks every duration for unit tests.
 #[derive(Clone, Debug)]
 pub struct AdversarialConfig {
-    /// Seed for noise levels, staggers and PUF instances.
-    pub seed: u64,
-    /// Honest clients (ids `0..honest`), active the whole span in both
-    /// worlds.
-    pub honest: usize,
-    /// Attacker clients (ids `honest..honest+attackers`); flood world
-    /// only, active during the middle phase.
-    pub attackers: usize,
-    /// Virtual duration of each phase (calm, flood, recovery).
-    pub phase: Duration,
-    /// SLO / enforcement evaluation interval (odd nanosecond tail keeps
-    /// the evaluator's park targets off every client target).
-    pub interval: Duration,
-    /// Honest think time between authentications.
-    pub think_honest: Duration,
-    /// Attacker think time during the flood.
-    pub think_flood: Duration,
-    /// Dispatcher queue limit.
-    pub queue_limit: usize,
-    /// SLO fast window.
-    pub fast_window: Duration,
-    /// SLO slow window.
-    pub slow_window: Duration,
-    /// Known-bad credentials each attacker caches and replays.
-    pub rotation: usize,
-    /// Every Nth attacker request mints a fresh wrong credential
-    /// instead of replaying the rotation (keeps draining the bucket).
-    pub fresh_every: usize,
-    /// Honest retry budget per authentication (each retry honors the
-    /// server's `retry_after` hint first).
-    pub max_tries: u32,
+    /// The honest population (both worlds) and the flood (flood world
+    /// only).
+    pub schedule: FloodSchedule,
 }
 
 impl AdversarialConfig {
     /// The full 90-simulated-second run.
     pub fn standard(seed: u64) -> Self {
         AdversarialConfig {
-            seed,
-            honest: 8,
-            attackers: 4,
-            phase: Duration::from_secs(30),
-            interval: Duration::from_nanos(250_000_019),
-            think_honest: Duration::from_secs(1),
-            think_flood: Duration::from_millis(250),
-            queue_limit: 12,
-            fast_window: Duration::from_secs(5),
-            slow_window: Duration::from_secs(60),
-            rotation: 2,
-            fresh_every: 4,
-            max_tries: 6,
+            schedule: FloodSchedule {
+                seed,
+                honest: 8,
+                attackers: 4,
+                phase: Duration::from_secs(30),
+                interval: Duration::from_nanos(250_000_019),
+                think_honest: Duration::from_secs(1),
+                think_flood: Duration::from_millis(250),
+                fast_window: Duration::from_secs(5),
+                slow_window: Duration::from_secs(60),
+            },
         }
     }
 
     /// A shrunk run for unit tests: 15 simulated seconds.
     pub fn quick(seed: u64) -> Self {
         AdversarialConfig {
-            seed,
-            honest: 6,
-            attackers: 3,
-            phase: Duration::from_secs(5),
-            interval: Duration::from_nanos(100_000_019),
-            think_honest: Duration::from_millis(600),
-            think_flood: Duration::from_millis(150),
-            queue_limit: 12,
-            fast_window: Duration::from_secs(2),
-            slow_window: Duration::from_secs(10),
-            rotation: 2,
-            fresh_every: 4,
-            max_tries: 6,
+            schedule: FloodSchedule {
+                seed,
+                honest: 6,
+                attackers: 3,
+                phase: Duration::from_secs(5),
+                interval: Duration::from_nanos(100_000_019),
+                think_honest: Duration::from_millis(600),
+                think_flood: Duration::from_millis(150),
+                fast_window: Duration::from_secs(2),
+                slow_window: Duration::from_secs(10),
+            },
         }
-    }
-
-    /// Total virtual span (three phases).
-    pub fn run_span(&self) -> Duration {
-        self.phase * 3
-    }
-
-    /// Total client population (honest + attackers).
-    pub fn clients(&self) -> usize {
-        self.honest + self.attackers
     }
 
     /// The admission policy under test. Depth caps stay at d = 1 in
@@ -171,45 +131,12 @@ impl AdversarialConfig {
             ..AdmissionConfig::for_bound(MAX_D)
         }
     }
+}
 
-    fn mix(&self, salt: u64) -> u64 {
-        rbc_splitmix::splitmix64(self.seed ^ salt.wrapping_mul(rbc_splitmix::GOLDEN_GAMMA))
-    }
-
-    /// Client `i`'s noise: honest clients stay inside the search bound
-    /// (accepts at d ∈ {0, 1}); attackers carry noise far beyond it.
-    fn noise(&self, i: usize) -> u32 {
-        if i >= self.honest {
-            8
-        } else if self.mix(0x40 ^ i as u64) % 10 < 7 {
-            0
-        } else {
-            1
-        }
-    }
-
-    /// Unique virtual arrival offset per client (disjoint 5 ms bands
-    /// plus sub-microsecond phases — concurrent parks must never land
-    /// on equal virtual targets).
-    fn arrival(&self, i: usize) -> Duration {
-        Duration::from_millis(5 * (i as u64 + 1))
-            + Duration::from_micros(self.mix(0x80 ^ i as u64) % 4999)
-            + Duration::from_nanos(347 * (i as u64 + 1))
-    }
-
-    /// Think time for client `i`, with per-client microsecond and
-    /// nanosecond phases keeping concurrent wake targets distinct.
-    fn think(&self, i: usize) -> Duration {
-        let base = if i >= self.honest { self.think_flood } else { self.think_honest };
-        base + Duration::from_micros(1013 * (i as u64 + 1) + self.mix(0xC0 ^ i as u64) % 499)
-            + Duration::from_nanos(11 * (i as u64 + 1))
-    }
-
-    /// Unique backoff jitter for honest client `i`'s `tries`-th retry,
-    /// added on top of the server's `retry_after` hint.
-    fn retry_jitter(&self, i: usize, tries: u32) -> Duration {
-        Duration::from_nanos((i as u64 + 1) * 1_000_003 + tries as u64 * 131 + 17)
-    }
+/// Unique backoff jitter for honest client `i`'s `tries`-th retry,
+/// added on top of the server's `retry_after` hint.
+fn retry_jitter(i: usize, tries: u32) -> Duration {
+    Duration::from_nanos((i as u64 + 1) * 1_000_003 + tries as u64 * 131 + 17)
 }
 
 /// One sub-run's service ledger (the `issued = accepted + rejected +
@@ -258,282 +185,197 @@ struct WorldResult {
     /// Total calibrated backend rate (hashes/sec) from the receipts.
     calibrated_rate: f64,
     sim_secs: f64,
-    quiescent: bool,
+    /// Ledger and timeline violations of this world.
+    violations: Vec<String>,
     digest: u64,
+}
+
+/// One client actor's tally: honest clients fill the latency and
+/// acceptance fields, attackers the request count.
+#[derive(Default)]
+struct Tally {
+    latencies_ns: Vec<u64>,
+    attempts: u64,
+    accepted: u64,
+    requests: u64,
+}
+
+/// The flood: replay a rotation of known-bad credentials
+/// (negative-cache fodder) and mint a fresh wrong one every
+/// [`FRESH_EVERY`] requests (bucket drain). Ignores every retry_after
+/// hint — that is the point.
+fn attacker(
+    sched: &FloodSchedule,
+    svc: &AuthService<LightSaber>,
+    i: usize,
+    client: Client<ModelPuf>,
+    actor: &Actor,
+) -> Tally {
+    let mut rng = StdRng::seed_from_u64(sched.mix(0x3000 ^ i as u64));
+    let mut cached: Vec<DynDigest> = Vec::new();
+    let mut n = 0usize;
+    let mut requests = 0u64;
+    actor.sleep(sched.phase);
+    actor.sleep(sched.arrival(i));
+    while actor.elapsed() < sched.phase * 2 {
+        let hello = client.hello();
+        let Ok(challenge) = svc.begin(&hello) else { break };
+        let fresh = cached.len() < ROTATION || n.is_multiple_of(FRESH_EVERY);
+        let msg = if fresh {
+            client.respond(&challenge, &mut rng)
+        } else {
+            DigestMsg {
+                client_id: client.id,
+                session: challenge.session,
+                digest: cached[n % cached.len()],
+                trace: challenge.trace,
+            }
+        };
+        n += 1;
+        let Ok(v) = svc.complete(&msg) else { break };
+        requests += 1;
+        if fresh && v.verdict == Verdict::Rejected && cached.len() < ROTATION {
+            cached.push(msg.digest);
+        }
+        actor.sleep(sched.think(i));
+    }
+    Tally { requests, ..Tally::default() }
+}
+
+/// Honest clients authenticate for the whole span. A shed verdict is
+/// retried after honoring the server's retry_after hint (plus
+/// client-unique jitter); the measured latency covers the full intent,
+/// retries and backoff included.
+fn honest(
+    sched: &FloodSchedule,
+    svc: &AuthService<LightSaber>,
+    i: usize,
+    client: Client<ModelPuf>,
+    actor: &Actor,
+) -> Tally {
+    let mut rng = StdRng::seed_from_u64(sched.mix(0x3000 ^ i as u64));
+    let mut tally = Tally::default();
+    actor.sleep(sched.arrival(i));
+    while actor.elapsed() < sched.run_span() {
+        let t0 = actor.elapsed();
+        let mut accepted = false;
+        let mut tries = 0u32;
+        loop {
+            tries += 1;
+            let hello = client.hello();
+            let Ok(challenge) = svc.begin(&hello) else { break };
+            let digest = client.respond(&challenge, &mut rng);
+            let Ok(v) = svc.complete(&digest) else { break };
+            match v.verdict {
+                Verdict::Accepted { .. } => {
+                    accepted = true;
+                    break;
+                }
+                Verdict::Overloaded { retry_after_ms } if tries < MAX_TRIES => {
+                    actor.sleep(
+                        Duration::from_millis(retry_after_ms.max(1)) + retry_jitter(i, tries),
+                    );
+                }
+                _ => break,
+            }
+        }
+        let lat = actor.elapsed() - t0;
+        tally.latencies_ns.push(u64::try_from(lat.as_nanos()).unwrap_or(u64::MAX));
+        tally.attempts += 1;
+        tally.accepted += u64::from(accepted);
+        actor.sleep(sched.think(i));
+    }
+    tally
 }
 
 /// Runs one seeded world on a fresh virtual timeline; `with_attackers`
 /// switches the flood on.
 fn run_world(cfg: &AdversarialConfig, with_attackers: bool) -> WorldResult {
-    let sim = SimClock::new();
-    let clock = sim.handle();
-    let registry = Arc::new(Registry::new());
-    let attribution = Arc::new(Attribution::new(registry.clone(), cfg.clients()));
-    let admission =
-        Arc::new(AdmissionControl::with_clock(cfg.admission(), &registry, clock.clone()));
-
-    // Two stalled supervised substrates (as in `repro attrib`): the
-    // injected per-job stalls are the searches' virtual cost, so flood
-    // pressure is real queueing pressure.
-    let mut pools: Vec<Arc<dyn SearchBackend>> = Vec::new();
-    for (i, stall_ms) in [90u64, 97].into_iter().enumerate() {
-        let cpu = Arc::new(
-            CpuBackend::new(EngineConfig { threads: 1, ..Default::default() })
-                .with_clock(clock.clone()),
-        ) as Arc<dyn SearchBackend>;
-        let chaos = Arc::new(
-            ChaosBackend::wrap(cpu, Fault::Stall { ms: stall_ms + i as u64 })
-                .with_clock(clock.clone()),
-        ) as Arc<dyn SearchBackend>;
-        pools.push(Arc::new(SupervisedPool::with_clock(
-            vec![chaos],
-            SupervisedPoolConfig::default(),
-            registry.clone(),
-            clock.clone(),
-        )));
-    }
-    let dispatcher = Arc::new(Dispatcher::with_clock(
-        pools,
-        DispatcherConfig {
-            queue_limit: cfg.queue_limit,
-            budget: Duration::from_secs(2),
-            policy: RoutePolicy::LeastLoaded,
-        },
-        registry.clone(),
-        clock.clone(),
+    let sched = &cfg.schedule;
+    let world = World::new();
+    let attribution = Arc::new(Attribution::new(world.registry.clone(), sched.clients()));
+    let admission = Arc::new(AdmissionControl::with_clock(
+        cfg.admission(),
+        &world.registry,
+        world.clock.clone(),
     ));
-
-    let ca_cfg = CaConfig {
-        max_d: MAX_D,
-        algo: HashAlgo::Sha1,
-        engine: EngineConfig { threads: 1, ..Default::default() },
-        ..Default::default()
-    };
-    let mut key = [0u8; 32];
-    key[..8].copy_from_slice(&cfg.mix(0x21).to_le_bytes());
-    let mut ca = CertificateAuthority::new(key, LightSaber, ca_cfg);
-    let mut enroll_rng = StdRng::seed_from_u64(cfg.mix(0x22));
-    let mut clients = Vec::new();
-    for id in 0..cfg.clients() as u64 {
-        let mut c = Client::new(id, ModelPuf::noiseless(4096, cfg.mix(0x2000 ^ id)));
-        c.extra_noise = cfg.noise(id as usize);
-        ca.enroll_client(id, c.device(), 0, &mut enroll_rng).expect("enroll");
-        clients.push(c);
-    }
-    let service = Arc::new(
-        AuthService::with_recorder(ca, dispatcher, Arc::new(NullRecorder))
-            .with_attribution(attribution.clone())
-            .with_admission(admission.clone()),
+    let (service, clients) = world.service(
+        sched.seed,
+        FLOOD_SALTS,
+        QUEUE_LIMIT,
+        sched.clients(),
+        |i| sched.noise(i),
+        Arc::new(NullRecorder),
     );
+    let service = service.with_attribution(attribution.clone()).with_admission(admission.clone());
 
     let slos = vec![exhaustion_slo("exhaustion")
-        .windows(cfg.fast_window, cfg.slow_window)
+        .windows(sched.fast_window, sched.slow_window)
         .thresholds(1.0, 6.0)];
     let mut evaluator = SloEvaluator::new(slos);
-    let total_ticks = (cfg.run_span().as_nanos() / cfg.interval.as_nanos()).max(1) as u64;
     let quarantine_after = cfg.admission().quarantine_after_exhaustions;
-
-    let run_span = cfg.run_span();
-    let flood_start = cfg.phase;
-    let flood_end = cfg.phase * 2;
-    let epoch = clock.now();
     let mut alerts: Vec<Alert> = Vec::new();
     let mut peak_level = BrownoutLevel::Normal;
-    let mut honest_tallies: Vec<(Vec<u64>, u64, u64)> = Vec::new();
-    let mut attacker_requests = 0u64;
-    std::thread::scope(|s| {
-        // Freeze the timeline while actors spawn (see sim.rs: without
-        // the starter guard the first actors outrun the later spawns).
-        let starter = clock.enter();
-
-        // The detect→enforce evaluator: observes the SLO over direct
-        // registry snapshots, feeds burn alerts into the brownout state
-        // machine, quarantines the attrib exhaustion heavy hitters, and
-        // re-prices bucket refill from receipt-measured backend rates.
-        let eval_guard = clock.enter();
-        let eval_clk = clock.clone();
-        let eval_registry = registry.clone();
-        let eval_attr = attribution.clone();
-        let eval_adm = admission.clone();
-        let eval_ref = &mut evaluator;
-        let alerts_ref = &mut alerts;
-        let peak_ref = &mut peak_level;
-        let clients_total = cfg.clients() as u64;
-        let eval_handle = s.spawn(move || {
-            let _g = eval_guard;
-            for _ in 0..total_ticks {
-                eval_clk.sleep(cfg.interval);
-                let at_ns =
-                    u64::try_from(eval_clk.now().saturating_duration_since(epoch).as_nanos())
-                        .unwrap_or(u64::MAX);
-                let snap = eval_registry.snapshot();
-                let new_alerts = eval_ref.observe(at_ns, &snap, None);
-                for a in &new_alerts {
-                    eval_adm.observe_alert(a);
+    // The detect→enforce evaluator: observes the SLO over direct
+    // registry snapshots, feeds burn alerts into the brownout state
+    // machine, quarantines the attrib exhaustion heavy hitters, and
+    // re-prices bucket refill from receipt-measured backend rates.
+    let tick = |at_ns| {
+        let new_alerts = evaluator.observe(at_ns, &world.registry.snapshot(), None);
+        for a in &new_alerts {
+            admission.observe_alert(a);
+        }
+        alerts.extend(new_alerts);
+        peak_level = peak_level.max(admission.level());
+        for h in attribution.top_exhausted(sched.clients()) {
+            if h.count >= quarantine_after {
+                if let Ok(id) = h.key.parse::<u64>() {
+                    admission.quarantine(id);
                 }
-                alerts_ref.extend(new_alerts);
-                *peak_ref = (*peak_ref).max(eval_adm.level());
-                for h in eval_attr.top_exhausted(clients_total as usize) {
-                    if h.count >= quarantine_after {
-                        if let Ok(id) = h.key.parse::<u64>() {
-                            eval_adm.quarantine(id);
-                        }
-                    }
-                }
-                let rate: f64 = eval_attr.calibration().iter().map(|c| c.rate()).sum();
-                eval_adm.calibrate(rate, clients_total);
             }
-        });
-
-        let mut honest_handles = Vec::new();
-        let mut attacker_handles = Vec::new();
-        for (i, client) in clients.into_iter().enumerate() {
-            let attacker = i >= cfg.honest;
-            if attacker && !with_attackers {
-                continue;
-            }
-            let guard = clock.enter();
-            let clk = clock.clone();
-            let svc = service.clone();
-            let rng_seed = cfg.mix(0x3000 ^ i as u64);
-            if attacker {
-                // The flood: replay a rotation of known-bad credentials
-                // (negative-cache fodder) and mint a fresh wrong one
-                // every `fresh_every` requests (bucket drain). Ignores
-                // every retry_after hint — that is the point.
-                let handle = s.spawn(move || {
-                    let _g = guard;
-                    let mut rng = StdRng::seed_from_u64(rng_seed);
-                    let mut cached: Vec<DynDigest> = Vec::new();
-                    let mut n = 0usize;
-                    let mut requests = 0u64;
-                    clk.sleep(flood_start);
-                    clk.sleep(cfg.arrival(i));
-                    loop {
-                        if clk.now().saturating_duration_since(epoch) >= flood_end {
-                            break;
-                        }
-                        let hello = client.hello();
-                        let Ok(challenge) = svc.begin(&hello) else { break };
-                        let fresh =
-                            cached.len() < cfg.rotation || n.is_multiple_of(cfg.fresh_every);
-                        let msg = if fresh {
-                            client.respond(&challenge, &mut rng)
-                        } else {
-                            DigestMsg {
-                                client_id: client.id,
-                                session: challenge.session,
-                                digest: cached[n % cached.len()],
-                                trace: challenge.trace,
-                            }
-                        };
-                        n += 1;
-                        match svc.complete(&msg) {
-                            Ok(v) => {
-                                requests += 1;
-                                if fresh
-                                    && v.verdict == Verdict::Rejected
-                                    && cached.len() < cfg.rotation
-                                {
-                                    cached.push(msg.digest);
-                                }
-                            }
-                            Err(_) => break,
-                        }
-                        clk.sleep(cfg.think(i));
-                    }
-                    requests
-                });
-                attacker_handles.push(handle);
+        }
+        let rate: f64 = attribution.calibration().iter().map(|c| c.rate()).sum();
+        admission.calibrate(rate, sched.clients() as u64);
+    };
+    let tallies = world.run(
+        sched.run_span(),
+        sched.interval,
+        tick,
+        clients.into_iter().enumerate().filter(|(i, _)| with_attackers || !sched.is_attacker(*i)),
+        |i, client, actor| {
+            if sched.is_attacker(i) {
+                attacker(sched, &service, i, client, actor)
             } else {
-                // Honest clients authenticate for the whole span. A
-                // shed verdict is retried after honoring the server's
-                // retry_after hint (plus client-unique jitter); the
-                // measured latency covers the full intent, retries and
-                // backoff included.
-                let handle = s.spawn(move || {
-                    let _g = guard;
-                    let mut rng = StdRng::seed_from_u64(rng_seed);
-                    let mut latencies = Vec::new();
-                    let mut attempts = 0u64;
-                    let mut accepted_n = 0u64;
-                    clk.sleep(cfg.arrival(i));
-                    loop {
-                        if clk.now().saturating_duration_since(epoch) >= run_span {
-                            break;
-                        }
-                        let t0 = clk.now();
-                        let mut accepted = false;
-                        let mut tries = 0u32;
-                        loop {
-                            tries += 1;
-                            let hello = client.hello();
-                            let Ok(challenge) = svc.begin(&hello) else { break };
-                            let digest = client.respond(&challenge, &mut rng);
-                            let Ok(v) = svc.complete(&digest) else { break };
-                            match v.verdict {
-                                Verdict::Accepted { .. } => {
-                                    accepted = true;
-                                    break;
-                                }
-                                Verdict::Overloaded { retry_after_ms } if tries < cfg.max_tries => {
-                                    clk.sleep(
-                                        Duration::from_millis(retry_after_ms.max(1))
-                                            + cfg.retry_jitter(i, tries),
-                                    );
-                                }
-                                _ => break,
-                            }
-                        }
-                        let lat = clk.now().saturating_duration_since(t0);
-                        latencies.push(u64::try_from(lat.as_nanos()).unwrap_or(u64::MAX));
-                        attempts += 1;
-                        if accepted {
-                            accepted_n += 1;
-                        }
-                        clk.sleep(cfg.think(i));
-                    }
-                    (latencies, attempts, accepted_n)
-                });
-                honest_handles.push(handle);
+                honest(sched, &service, i, client, actor)
             }
-        }
-        drop(starter);
-        for h in honest_handles {
-            honest_tallies.push(h.join().expect("honest client thread"));
-        }
-        for h in attacker_handles {
-            attacker_requests += h.join().expect("attacker client thread");
-        }
-        eval_handle.join().expect("evaluator thread");
-    });
+        },
+    );
 
     let stats = service.stats();
-    let snap = registry.snapshot();
+    let snap = world.registry.snapshot();
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
     let mut latencies_ns: Vec<u64> = Vec::new();
-    let mut honest_attempts = 0u64;
-    let mut honest_accepted = 0u64;
-    for (lats, attempts, accepted) in honest_tallies {
-        latencies_ns.extend(lats);
-        honest_attempts += attempts;
-        honest_accepted += accepted;
+    let (mut honest_attempts, mut honest_accepted, mut attacker_requests) = (0u64, 0u64, 0u64);
+    for (_, t) in tallies {
+        latencies_ns.extend(t.latencies_ns);
+        honest_attempts += t.attempts;
+        honest_accepted += t.accepted;
+        attacker_requests += t.requests;
     }
     latencies_ns.sort_unstable();
     let attacker_hashes: u64 = attribution
-        .top_hashes(cfg.clients())
+        .top_hashes(sched.clients())
         .iter()
-        .filter(|h| h.key.parse::<u64>().map(|id| id >= cfg.honest as u64).unwrap_or(false))
+        .filter(|h| h.key.parse::<usize>().is_ok_and(|id| sched.is_attacker(id)))
         .map(|h| h.count)
         .sum();
     let calibrated_rate: f64 = attribution.calibration().iter().map(|c| c.rate()).sum();
-    let (runnable, parked) = sim.actors();
+    let receipts = counter(attrib::RECEIPTS_TOTAL);
 
     // Digest over everything replay-stable: the honest latency series,
     // the service and admission ledgers, the alert log and the final
-    // telemetry snapshot. The last-exhausted trace gauge is excluded —
-    // trace ids are process-global, not replay-stable.
-    let mut digest = fold(0xADA7_0001, cfg.seed);
+    // telemetry snapshot.
+    let mut digest = fold(0xADA7_0001, sched.seed);
     digest = fold(digest, with_attackers as u64);
     for l in &latencies_ns {
         digest = fold(digest, *l);
@@ -552,31 +394,7 @@ fn run_world(cfg: &AdversarialConfig, with_attackers: bool) -> WorldResult {
     ] {
         digest = fold(digest, v);
     }
-    for a in &alerts {
-        digest = fold_bytes(digest, a.spec.as_bytes());
-        digest = fold(digest, a.severity as u64);
-        digest = fold(digest, a.at_ns);
-        digest = fold(digest, a.fast_burn.to_bits());
-        digest = fold(digest, a.slow_burn.to_bits());
-    }
-    for (name, metric) in &snap.entries {
-        if name == attrib::LAST_EXHAUSTED_TRACE {
-            continue;
-        }
-        digest = fold_bytes(digest, name.as_bytes());
-        digest = match metric {
-            MetricSnapshot::Counter(v) => fold(digest, *v),
-            MetricSnapshot::Gauge(v) => fold(digest, *v as u64),
-            MetricSnapshot::Histogram(h) => {
-                let mut d = fold(fold(digest, h.count), h.sum);
-                for (bound, count) in &h.buckets {
-                    d = fold(fold(d, *bound), *count);
-                }
-                d
-            }
-        };
-    }
-    digest = fold(digest, sim.virtual_elapsed().as_nanos() as u64);
+    let digest = world.seal(digest, &alerts);
 
     WorldResult {
         ledger: RunLedger {
@@ -586,7 +404,7 @@ fn run_world(cfg: &AdversarialConfig, with_attackers: bool) -> WorldResult {
             timed_out: stats.timed_out,
             shed: stats.overloaded,
             errors: stats.errors,
-            receipts: counter(attrib::RECEIPTS_TOTAL),
+            receipts,
             hashes: counter(attrib::HASHES_TOTAL),
             honest_attempts,
             honest_accepted,
@@ -604,8 +422,8 @@ fn run_world(cfg: &AdversarialConfig, with_attackers: bool) -> WorldResult {
         final_level: admission.level(),
         alerts,
         calibrated_rate,
-        sim_secs: sim.virtual_elapsed().as_secs_f64(),
-        quiescent: (runnable, parked) == (0, 0),
+        sim_secs: world.sim.virtual_elapsed().as_secs_f64(),
+        violations: ledger_violations(&stats, Some(receipts), world.sim.actors()),
         digest,
     }
 }
@@ -707,25 +525,8 @@ pub fn run_adversarial(cfg: &AdversarialConfig) -> AdversarialOutcome {
 
     let mut violations = Vec::new();
     for (world, r) in [("baseline", &baseline), ("flood", &flood)] {
+        violations.extend(r.violations.iter().map(|v| format!("{world}: {v}")));
         let l = &r.ledger;
-        let tallied = l.accepted + l.rejected + l.timed_out + l.shed + l.errors;
-        if l.issued != tallied {
-            violations
-                .push(format!("{world}: books do not balance: issued {} != {tallied}", l.issued));
-        }
-        if l.errors > 0 {
-            violations.push(format!("{world}: {} CA errors", l.errors));
-        }
-        if l.receipts != l.issued - l.errors {
-            violations.push(format!(
-                "{world}: {} receipts for {} completed requests",
-                l.receipts,
-                l.issued - l.errors
-            ));
-        }
-        if !r.quiescent {
-            violations.push(format!("{world}: timeline not quiescent"));
-        }
         if l.honest_attempts > 0 && (l.honest_accepted as f64 / l.honest_attempts as f64) < 0.99 {
             violations.push(format!(
                 "{world}: honest acceptance {}/{} below 99%",
@@ -767,12 +568,12 @@ pub fn run_adversarial(cfg: &AdversarialConfig) -> AdversarialOutcome {
         ));
     }
 
-    let total_ticks = (cfg.run_span().as_nanos() / cfg.interval.as_nanos()).max(1) as u64;
-    let digest = fold(fold(fold(0xADA7_D169, cfg.seed), baseline.digest), flood.digest);
+    let sched = &cfg.schedule;
+    let digest = fold(fold(fold(0xADA7_D169, sched.seed), baseline.digest), flood.digest);
 
     AdversarialOutcome {
-        seed: cfg.seed,
-        ticks: total_ticks,
+        seed: sched.seed,
+        ticks: world::ticks(sched.run_span(), sched.interval),
         sim_secs: flood.sim_secs,
         baseline: baseline.ledger,
         flood: flood.ledger.clone(),
@@ -805,13 +606,7 @@ pub fn run_adversarial(cfg: &AdversarialConfig) -> AdversarialOutcome {
 /// Renders the run as a plain-text enforcement report. `color` toggles
 /// ANSI escapes.
 pub fn render_adversarial(o: &AdversarialOutcome, color: bool) -> String {
-    let paint = |code: &str, s: &str| {
-        if color {
-            format!("\x1b[{code}m{s}\x1b[0m")
-        } else {
-            s.to_string()
-        }
-    };
+    let paint = |code: &str, s: &str| world::paint(color, code, s);
     let ok = |good: bool, s: &str| {
         if good {
             paint("32", s)
@@ -859,25 +654,7 @@ pub fn render_adversarial(o: &AdversarialOutcome, color: bool) -> String {
          (Eq. 2): {:.1} bits apart, ~1e{:.0} years at the calibrated rate\n",
         o.server_price, o.asymmetry_bits, o.opponent_log10_years
     ));
-    if o.alerts.is_empty() {
-        out.push_str("  alerts       none\n");
-    } else {
-        out.push_str("  alerts\n");
-        for a in &o.alerts {
-            let tag = match a.severity {
-                Severity::Page => paint("31;1", "PAGE "),
-                Severity::Warn => paint("33;1", "WARN "),
-                Severity::Clear => paint("32", "CLEAR"),
-            };
-            out.push_str(&format!(
-                "    {tag} {:<13} @ {:>6.1}s  fast {:>7.2}x  slow {:>7.2}x\n",
-                a.spec,
-                a.at_ns as f64 / 1e9,
-                a.fast_burn,
-                a.slow_burn
-            ));
-        }
-    }
+    out.push_str(&world::render_alerts(&o.alerts, color, 13));
     let ledger = |name: &str, l: &RunLedger| {
         format!(
             "  {name:<12} issued {}  accepted {}  rejected {}  shed {}  timed-out {}\n",
@@ -1076,6 +853,7 @@ pub fn validate_adversarial_json(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rbc_telemetry::Severity;
 
     #[test]
     fn quick_run_survives_the_flood_and_replays_identically() {

@@ -17,6 +17,14 @@
 //! * `adversarial.*` — from `BENCH_adversarial.json`. Virtual time end
 //!   to end like `attrib`: ledger and enforcement counters are exact —
 //!   any drift means the admission layer's behavior changed.
+//! * `sim.*` — from `BENCH_sim.json`: each fault-combo row's replay
+//!   digest.
+//!
+//! The replay digests (`monitor.series_digest`, `attrib.digest`,
+//! `adversarial.digest` and every `sim.<row>.digest`) are exact
+//! entries: a run that replays itself but no longer matches the
+//! committed record fails. Each u64 digest is split into exact u32
+//! `_hi` / `_lo` halves, since an entry's value is an f64.
 //! * `service.*` — from `BENCH_service.json`. Wall-clock latencies on
 //!   whatever machine ran them, so tolerances are wide; only a large
 //!   p99 regression fails.
@@ -121,6 +129,9 @@ pub struct Baseline {
 /// ledger counts tight, wall-clock latencies and throughputs loose.
 pub fn policy_for(id: &str) -> (f64, Worse) {
     match id {
+        _ if id.starts_with("sim.") || id.ends_with("digest_hi") || id.ends_with("digest_lo") => {
+            (0.0, Worse::Differ)
+        }
         "monitor.ticks" | "monitor.divergences" | "monitor.violations" => (0.0, Worse::Differ),
         "monitor.pages" => (0.0, Worse::Lower),
         "attrib.divergences" | "attrib.violations" => (0.0, Worse::Differ),
@@ -159,6 +170,21 @@ fn field_f64(v: &Value, name: &str) -> Result<f64, String> {
     v.field(name).ok().and_then(Value::as_f64).ok_or(format!("missing numeric field {name}"))
 }
 
+/// `id_hi` / `id_lo` entries holding the upper and lower u32 halves of
+/// `digest`, each exact in an f64.
+fn digest_halves(id: &str, digest: u64) -> [(String, f64); 2] {
+    [(format!("{id}_hi"), (digest >> 32) as f64), (format!("{id}_lo"), (digest as u32) as f64)]
+}
+
+/// Reads a digest written as 16 hex digits.
+fn field_hex_digest(v: &Value, name: &str) -> Result<u64, String> {
+    v.field(name)
+        .ok()
+        .and_then(Value::as_str)
+        .and_then(|s| u64::from_str_radix(s, 16).ok())
+        .ok_or(format!("missing hex digest field {name}"))
+}
+
 /// Extracts the baselined metrics from a `BENCH_monitor.json` text.
 pub fn extract_monitor(text: &str) -> Result<Vec<(String, f64)>, String> {
     let doc: Value = serde_json::from_str(text).map_err(|e| format!("monitor: not JSON: {e}"))?;
@@ -180,6 +206,7 @@ pub fn extract_monitor(text: &str) -> Result<Vec<(String, f64)>, String> {
         .filter(|a| a.field("severity").ok().and_then(Value::as_str) == Some("page"))
         .count();
     out.push(("monitor.pages".to_string(), pages as f64));
+    out.extend(digest_halves("monitor.series_digest", field_hex_digest(&doc, "series_digest")?));
     Ok(out)
 }
 
@@ -211,6 +238,7 @@ pub fn extract_attrib(text: &str) -> Result<Vec<(String, f64)>, String> {
         .filter(|a| a.field("severity").ok().and_then(Value::as_str) == Some("page"))
         .count();
     out.push(("attrib.pages".to_string(), pages as f64));
+    out.extend(digest_halves("attrib.digest", field_hex_digest(&doc, "digest")?));
     Ok(out)
 }
 
@@ -244,6 +272,37 @@ pub fn extract_adversarial(text: &str) -> Result<Vec<(String, f64)>, String> {
                 field_f64(w, f).map_err(|e| format!("adversarial: {world}: {e}"))?,
             ));
         }
+    }
+    out.extend(digest_halves("adversarial.digest", field_hex_digest(&doc, "digest")?));
+    Ok(out)
+}
+
+/// Extracts every row's replay digest from a `BENCH_sim.json` text as
+/// `sim.<row>.digest_hi` / `_lo`. The digest is read as a u64, never
+/// through an f64, which would round it.
+pub fn extract_sim(text: &str) -> Result<Vec<(String, f64)>, String> {
+    let doc: Value = serde_json::from_str(text).map_err(|e| format!("sim: not JSON: {e}"))?;
+    if doc.field("bench").ok().and_then(Value::as_str) != Some("sim") {
+        return Err("sim: wrong bench envelope".to_string());
+    }
+    let rows =
+        doc.field("results").ok().and_then(Value::as_array).ok_or("sim: missing results array")?;
+    let mut out = Vec::new();
+    for row in rows {
+        let scenario = row
+            .field("scenario")
+            .ok()
+            .and_then(Value::as_str)
+            .ok_or("sim: row missing scenario")?;
+        let digest = row
+            .field("digest")
+            .ok()
+            .and_then(Value::as_u64)
+            .ok_or(format!("sim: row {scenario} missing integer digest"))?;
+        out.extend(digest_halves(&format!("sim.{}.digest", ident(scenario)), digest));
+    }
+    if out.is_empty() {
+        return Err("sim: no result rows".to_string());
     }
     Ok(out)
 }
@@ -312,6 +371,8 @@ pub struct ArtifactSet {
     pub attrib: Option<String>,
     /// `BENCH_adversarial.json` contents.
     pub adversarial: Option<String>,
+    /// `BENCH_sim.json` contents.
+    pub sim: Option<String>,
     /// `BENCH_service.json` contents.
     pub service: Option<String>,
     /// `BENCH_hash_lanes.json` contents.
@@ -326,6 +387,7 @@ impl ArtifactSet {
             monitor: read("BENCH_monitor.json"),
             attrib: read("BENCH_attrib.json"),
             adversarial: read("BENCH_adversarial.json"),
+            sim: read("BENCH_sim.json"),
             service: read("BENCH_service.json"),
             hash_lanes: read("BENCH_hash_lanes.json"),
         }
@@ -336,6 +398,7 @@ impl ArtifactSet {
         self.monitor.is_none()
             && self.attrib.is_none()
             && self.adversarial.is_none()
+            && self.sim.is_none()
             && self.service.is_none()
             && self.hash_lanes.is_none()
     }
@@ -364,6 +427,12 @@ pub fn build_baseline(set: &ArtifactSet) -> Result<Baseline, String> {
     }
     if let Some(text) = &set.adversarial {
         for (id, value) in extract_adversarial(text)? {
+            let (tolerance, worse) = policy_for(&id);
+            entries.push(BaselineEntry { id, value, tolerance, worse });
+        }
+    }
+    if let Some(text) = &set.sim {
+        for (id, value) in extract_sim(text)? {
             let (tolerance, worse) = policy_for(&id);
             entries.push(BaselineEntry { id, value, tolerance, worse });
         }
@@ -478,6 +547,7 @@ pub fn compare(base: &Baseline, set: &ArtifactSet) -> Result<RegressReport, Stri
     let monitor = set.monitor.as_deref().map(extract_monitor).transpose()?;
     let attrib = set.attrib.as_deref().map(extract_attrib).transpose()?;
     let adversarial = set.adversarial.as_deref().map(extract_adversarial).transpose()?;
+    let sim = set.sim.as_deref().map(extract_sim).transpose()?;
     let service = set.service.as_deref().map(extract_service).transpose()?;
     let hash = set.hash_lanes.as_deref().map(extract_hash_lanes).transpose()?;
 
@@ -490,6 +560,8 @@ pub fn compare(base: &Baseline, set: &ArtifactSet) -> Result<RegressReport, Stri
                 (attrib.as_ref(), "BENCH_attrib.json")
             } else if entry.id.starts_with("adversarial.") {
                 (adversarial.as_ref(), "BENCH_adversarial.json")
+            } else if entry.id.starts_with("sim.") {
+                (sim.as_ref(), "BENCH_sim.json")
             } else if entry.id.starts_with("service.") {
                 (service.as_ref(), "BENCH_service.json")
             } else if entry.id.starts_with("hash.") {
@@ -536,7 +608,7 @@ mod tests {
 
     fn monitor_text() -> String {
         r#"{"bench":"monitor","ticks":359,"divergences":0,"violations":0,
-            "issued":1500,"accepted":700,"shed":800,
+            "issued":1500,"accepted":700,"shed":800,"series_digest":"72f1620748cdb521",
             "alerts":[{"severity":"page"},{"severity":"clear"}]}"#
             .to_string()
     }
@@ -545,7 +617,7 @@ mod tests {
         format!(
             r#"{{"bench":"attrib","ticks":359,"divergences":{divergences},"violations":0,
             "issued":592,"accepted":354,"rejected":238,"receipts":592,
-            "hashes":7851312,"exhausted_hashes":7829486,
+            "hashes":7851312,"exhausted_hashes":7829486,"digest":"868901abcb6f01c9",
             "alerts":[{{"severity":"page"}},{{"severity":"clear"}}]}}"#
         )
     }
@@ -555,9 +627,17 @@ mod tests {
             r#"{{"bench":"adversarial","ticks":360,"divergences":0,"violations":0,
             "cache_hits":120,"tokens_refused":40,"quarantines":{quarantines},
             "admission_shed":6,"depth_capped":30,
-            "attacker_requests":160,"attacker_hashes":400000,
+            "attacker_requests":160,"attacker_hashes":400000,"digest":"d193100b68dac7e6",
             "baseline":{{"issued":240,"accepted":240,"rejected":0,"shed":0}},
             "flood":{{"issued":420,"accepted":238,"rejected":150,"shed":32}}}}"#
+        )
+    }
+
+    fn sim_text(storm_digest: u64) -> String {
+        format!(
+            r#"{{"bench":"sim","results":[
+                {{"scenario":"crash+stall/generous","digest":7437265573964100524}},
+                {{"scenario":"deadline-storm/tight","digest":{storm_digest}}}]}}"#
         )
     }
 
@@ -582,6 +662,7 @@ mod tests {
             monitor: Some(monitor_text()),
             attrib: Some(attrib_text(0)),
             adversarial: Some(adversarial_text(4)),
+            sim: Some(sim_text(0xDC4C_DFCD_6383_A2DE)),
             service: Some(service_text(394.0)),
             hash_lanes: Some(hash_text("avx512", 2.4e7)),
         }
@@ -599,9 +680,9 @@ mod tests {
         let report = compare(&parsed, &set).expect("compare");
         assert!(report.ok(), "identical artifacts must pass: {:?}", report.regressions);
         assert!(report.skipped.is_empty());
-        // monitor 8 + attrib 11 + adversarial 18 + service 2 + hash 1
-        // selected row
-        assert_eq!(report.passed.len(), 40);
+        // monitor 10 + attrib 13 + adversarial 20 + sim 4 + service 2 +
+        // hash 1 selected row
+        assert_eq!(report.passed.len(), 50);
     }
 
     #[test]
@@ -684,6 +765,35 @@ mod tests {
             "{:?}",
             report.regressions
         );
+    }
+
+    #[test]
+    fn a_one_bit_digest_change_fails() {
+        let base = build_baseline(&full_set()).expect("build");
+        for bit in [0, 31, 32, 63] {
+            let flipped = 0x72f1_6207_48cd_b521u64 ^ (1 << bit);
+            let mut moved = full_set();
+            moved.monitor =
+                Some(monitor_text().replace("72f1620748cdb521", &format!("{flipped:016x}")));
+            let report = compare(&base, &moved).expect("compare");
+            let half =
+                if bit < 32 { "monitor.series_digest_lo" } else { "monitor.series_digest_hi" };
+            assert!(report.regressions.iter().any(|r| r.contains(half)), "bit {bit}: {:?}", report);
+
+            let entry = base.entries.iter().find(|e| e.id == half).expect("digest entry");
+            let current = if bit < 32 { flipped as u32 } else { (flipped >> 32) as u32 };
+            assert!(entry.check(f64::from(current)).is_err(), "bit {bit} must fail check");
+        }
+
+        // Sim digests are read as integers: the low bit of a digest
+        // above 2^53 would vanish through an f64, here it fails.
+        let storm = 0xDC4C_DFCD_6383_A2DEu64;
+        assert_eq!(storm as f64, (storm ^ 1) as f64);
+        let mut moved = full_set();
+        moved.sim = Some(sim_text(storm ^ 1));
+        let report = compare(&base, &moved).expect("compare");
+        assert_eq!(report.regressions.len(), 1, "{:?}", report.regressions);
+        assert!(report.regressions[0].contains("sim.deadline_storm_tight.digest_lo"));
     }
 
     #[test]

@@ -43,28 +43,23 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rbc_core::backend::{CpuBackend, SearchBackend};
-use rbc_core::ca::{CaConfig, CertificateAuthority};
+use rbc_core::ca::CaConfig;
 use rbc_core::chaos::{Fault, FaultPlan};
 use rbc_core::clock::SimClock;
 use rbc_core::dispatch::{Dispatcher, DispatcherConfig, RoutePolicy};
 use rbc_core::engine::EngineConfig;
 use rbc_core::pool::{SupervisedPool, SupervisedPoolConfig};
-use rbc_core::protocol::{ChallengeMsg, Client, DigestMsg, HelloMsg, Verdict, VerdictMsg};
+use rbc_core::protocol::{ChallengeMsg, DigestMsg, HelloMsg, Verdict, VerdictMsg};
 use rbc_core::service::AuthService;
-use rbc_hash::HashAlgo;
 use rbc_net::{lossy_duplex_with_clock, RpcClient, RpcServer};
 use rbc_pqc::LightSaber;
-use rbc_puf::ModelPuf;
 use rbc_splitmix::splitmix64;
-use rbc_telemetry::{CollectingRecorder, EventKind, MetricSnapshot, Registry};
+use rbc_telemetry::{CollectingRecorder, EventKind, Registry};
 
+use crate::world::{
+    ca_config, enroll, fold, fold_bytes, fold_snapshot, ledger_violations, mix, CALM_SALTS, MAX_D,
+};
 use crate::TextTable;
-
-/// Search bound used by every scenario: small enough that a rejection's
-/// exhaustive sweep (`u(2) ≈ 3.3e4` digests) costs single-digit
-/// milliseconds of real compute, which is what lets a thousand
-/// scenarios fit in a smoke run.
-const MAX_D: u32 = 2;
 
 /// Minimum simulated span per scenario.
 const MIN_SIM: Duration = Duration::from_secs(100);
@@ -83,23 +78,6 @@ const SERVER_TIMEOUT: Duration = Duration::from_secs(600);
 
 /// Noise level that puts a client beyond the search bound.
 const OUTLIER_NOISE: u32 = MAX_D + 3;
-
-fn mix(seed: u64, salt: u64) -> u64 {
-    splitmix64(seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-pub(crate) fn fold(h: u64, v: u64) -> u64 {
-    splitmix64(h.rotate_left(23) ^ v)
-}
-
-pub(crate) fn fold_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for chunk in bytes.chunks(8) {
-        let mut v = [0u8; 8];
-        v[..chunk.len()].copy_from_slice(chunk);
-        h = fold(h, u64::from_le_bytes(v));
-    }
-    fold(h, bytes.len() as u64)
-}
 
 /// The fault combinations a generous-budget scenario draws from
 /// (backend indices refer to the scenario's two CPU backends).
@@ -286,27 +264,13 @@ pub fn run_scenario(seed: u64) -> ScenarioOutcome {
         clock.clone(),
     ));
 
+    // The shared population, with the paper's 20 s job deadline.
+    let shared = ca_config();
     let ca_cfg = CaConfig {
-        max_d: MAX_D,
-        algo: HashAlgo::Sha1,
-        engine: EngineConfig {
-            threads: 1,
-            deadline: Some(Duration::from_secs(20)),
-            ..Default::default()
-        },
-        ..Default::default()
+        engine: EngineConfig { deadline: Some(Duration::from_secs(20)), ..shared.engine },
+        ..shared
     };
-    let mut key = [0u8; 32];
-    key[..8].copy_from_slice(&mix(seed, 0x11).to_le_bytes());
-    let mut ca = CertificateAuthority::new(key, LightSaber, ca_cfg);
-    let mut enroll_rng = StdRng::seed_from_u64(mix(seed, 0x12));
-    let mut clients = Vec::new();
-    for id in 0..sc.n_clients as u64 {
-        let mut c = Client::new(id, ModelPuf::noiseless(4096, mix(seed, 0x1000 ^ id)));
-        c.extra_noise = sc.noise(id as usize);
-        ca.enroll_client(id, c.device(), 0, &mut enroll_rng).expect("enroll");
-        clients.push(c);
-    }
+    let (ca, clients) = enroll(seed, CALM_SALTS, ca_cfg, sc.n_clients, |i| sc.noise(i));
 
     let recorder = Arc::new(CollectingRecorder::new());
     let service = Arc::new(AuthService::with_recorder(ca, dispatcher, recorder.clone()));
@@ -439,24 +403,13 @@ fn finish_scenario(
 ) -> ScenarioOutcome {
     let stats = service.stats();
     let events = recorder.events();
-    let mut violations = Vec::new();
     let label = sc.label();
 
-    // Books balance, and nothing errored.
-    let tallied =
-        stats.accepted + stats.rejected + stats.timed_out + stats.overloaded + stats.errors;
-    if stats.issued != tallied {
-        violations.push(format!(
-            "{label} seed {:#x}: books do not balance: issued {} != tallied {tallied}",
-            sc.seed, stats.issued
-        ));
-    }
-    if stats.errors != 0 {
-        violations.push(format!(
-            "{label} seed {:#x}: {} requests failed CA validation",
-            sc.seed, stats.errors
-        ));
-    }
+    // Books balance, nothing errored, every actor left the timeline.
+    let mut violations: Vec<String> = ledger_violations(&stats, None, sim.actors())
+        .into_iter()
+        .map(|v| format!("{label} seed {:#x}: {v}", sc.seed))
+        .collect();
 
     // Client-observed verdicts can only be a prefix of the server
     // ledger (a lost final response leaves the server ahead), never
@@ -542,42 +495,6 @@ fn finish_scenario(
             sc.seed
         ));
     }
-    let (runnable, parked) = sim.actors();
-    if (runnable, parked) != (0, 0) {
-        violations.push(format!(
-            "{label} seed {:#x}: timeline not quiescent after shutdown \
-             ({runnable} runnable, {parked} parked)",
-            sc.seed
-        ));
-    }
-
-    if std::env::var_os("RBC_SIM_DEBUG").is_some() {
-        let mut by_time: Vec<&AuthRecord> = records.iter().collect();
-        by_time.sort_by_key(|r| r.at);
-        for r in &by_time {
-            eprintln!(
-                "  auth c{} r{} at {:>12?} -> {:?}",
-                r.client,
-                r.round,
-                r.at,
-                match &r.verdict {
-                    Verdict::Accepted { distance, .. } => format!("Accepted(d={distance})"),
-                    v => format!("{v:?}"),
-                }
-            );
-        }
-        for e in &events {
-            eprintln!("  event {:?} at {} ns", e.kind, e.at_ns);
-        }
-        for (name, metric) in &service.registry().snapshot().entries {
-            let v = match metric {
-                MetricSnapshot::Counter(v) => format!("C {v}"),
-                MetricSnapshot::Gauge(v) => format!("G {v}"),
-                MetricSnapshot::Histogram(h) => format!("H n={} sum={}", h.count, h.sum),
-            };
-            eprintln!("  metric {name} = {v}");
-        }
-    }
     // Digest: the verdict stream in (client, round) order, then the
     // telemetry snapshot. Trace ids and exemplars are excluded — they
     // carry process-global span counters, not scenario behavior.
@@ -596,20 +513,7 @@ fn finish_scenario(
             Verdict::Overloaded { .. } => fold(digest, 4),
         };
     }
-    for (name, metric) in &service.registry().snapshot().entries {
-        digest = fold_bytes(digest, name.as_bytes());
-        digest = match metric {
-            MetricSnapshot::Counter(v) => fold(digest, *v),
-            MetricSnapshot::Gauge(v) => fold(digest, *v as u64),
-            MetricSnapshot::Histogram(h) => {
-                let mut d = fold(fold(digest, h.count), h.sum);
-                for (bound, count) in &h.buckets {
-                    d = fold(fold(d, *bound), *count);
-                }
-                d
-            }
-        };
-    }
+    digest = fold_snapshot(digest, &service.registry().snapshot());
     let mut event_keys: Vec<(u64, u64)> = events.iter().map(|e| (e.at_ns, e.kind as u64)).collect();
     event_keys.sort_unstable();
     for (at_ns, kind) in event_keys {
