@@ -348,6 +348,9 @@ struct SweepState {
     /// attempt sweeps beyond its credit is wasted (duplicated) work.
     credit: HashMap<u64, u64>,
     totals: Totals,
+    /// Virtual-timeline attempts launched since the supervisor last
+    /// parked, not yet running (see [`SupervisedPool::start_deferred`]).
+    deferred: Vec<Box<dyn FnOnce() + Send>>,
 }
 
 /// Per-submit resilience totals, reported in the job's `extras`, and
@@ -543,18 +546,41 @@ impl SupervisedPool {
         };
         let tx = ctx.tx.clone();
         let interval = self.cfg.checkpoint_interval;
+        let work = move || {
+            let mut sentinel =
+                Sentinel { tx: tx.clone(), shard, attempt, backend: backend_idx, armed: true };
+            let report = backend.run_shard(&job_attempt, &spec, interval, &sink);
+            sentinel.armed = false;
+            let _ = tx.send(Event::Done { shard, attempt, backend: backend_idx, report });
+        };
+        if self.clock.is_virtual() {
+            st.deferred.push(Box::new(work));
+        } else {
+            self.spawn_worker(work);
+        }
+    }
+
+    fn spawn_worker(&self, work: impl FnOnce() + Send + 'static) {
         // Register the worker with the clock *before* spawning: on a
         // virtual timeline the guard keeps time from galloping past the
         // attempt in the window before the OS schedules the new thread.
         let actor = self.clock.enter();
         std::thread::spawn(move || {
             let _actor = actor;
-            let mut sentinel =
-                Sentinel { tx: tx.clone(), shard, attempt, backend: backend_idx, armed: true };
-            let report = backend.run_shard(&job_attempt, &spec, interval, &sink);
-            sentinel.armed = false;
-            let _ = tx.send(Event::Done { shard, attempt, backend: backend_idx, report });
+            work();
         });
+    }
+
+    /// Starts every deferred virtual-timeline attempt. The supervisor
+    /// calls this only right before it parks or leaves the sweep, so a
+    /// worker never computes while the supervisor is still applying
+    /// events: each attempt's first checkpoint sees the cancel flag and
+    /// active set the whole batch left behind, not whatever the
+    /// supervisor had reached when the host scheduler ran the worker.
+    fn start_deferred(&self, st: &mut SweepState) {
+        for work in st.deferred.drain(..) {
+            self.spawn_worker(work);
+        }
     }
 
     /// Re-dispatches the unswept remainder of `shard` after its last
@@ -695,6 +721,7 @@ impl SupervisedPool {
             found: None,
             credit: HashMap::new(),
             totals: Totals::default(),
+            deferred: Vec::new(),
         };
 
         for shard in 0..st.runs.len() {
@@ -736,8 +763,12 @@ impl SupervisedPool {
             //   ran them, and an early-exit sweep stops at the first
             //   `Found` it processes — so arrival order would decide how
             //   many other completions get tallied first.
+            // * Attempts launched while applying events start only when
+            //   the supervisor parks or leaves the sweep
+            //   ([`Self::start_deferred`]).
             let event = if self.clock.is_virtual() {
                 if buffered.is_empty() {
+                    self.start_deferred(&mut st);
                     self.clock.sleep(SIM_POLL_TICK);
                     let mut batch: Vec<Event> = Vec::new();
                     let mut disconnected = false;
@@ -772,6 +803,7 @@ impl SupervisedPool {
                 if let Some(seed) = self.handle_event(&ctx, &mut st, job, &derive, event) {
                     if early {
                         ctx.cancel.store(true, Ordering::Relaxed);
+                        self.start_deferred(&mut st);
                         self.flush_totals(&st, acc);
                         return (SweepResult::Found(seed), st.swept);
                     }
@@ -780,6 +812,7 @@ impl SupervisedPool {
             }
             if deadline_at.is_some_and(|dl| self.clock.now() >= dl) {
                 ctx.cancel.store(true, Ordering::Relaxed);
+                self.start_deferred(&mut st);
                 self.flush_totals(&st, acc);
                 return match st.found {
                     Some(seed) => (SweepResult::Found(seed), st.swept),
@@ -789,6 +822,7 @@ impl SupervisedPool {
             self.scan_stalls_and_hedges(&ctx, &mut st, job);
         }
 
+        self.start_deferred(&mut st);
         self.flush_totals(&st, acc);
         let result = match st.found {
             Some(seed) => SweepResult::Found(seed),
@@ -1426,6 +1460,79 @@ mod tests {
         let report = pool.submit(&job_for(&client, &base, 2));
         assert_eq!(report.outcome, Outcome::NotFound);
         assert!(report.extra("hedges").unwrap() >= 1);
+    }
+
+    /// Faults the first attempt of every distance-1 shard, then sweeps
+    /// honestly. `supports` holds the supervisor for a few real
+    /// milliseconds with `busy` raised; a worker that runs while the
+    /// supervisor is still applying events sees it.
+    struct SlowPickBackend {
+        faulted: Mutex<HashSet<u64>>,
+        busy: AtomicBool,
+        saw_busy: AtomicBool,
+    }
+
+    impl SearchBackend for SlowPickBackend {
+        fn descriptor(&self) -> BackendDescriptor {
+            BackendDescriptor { kind: "test", name: "slow-pick".into(), slots: 1, est_rate: 0.0 }
+        }
+        fn supports(&self, _algo: HashAlgo) -> bool {
+            self.busy.store(true, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(10));
+            self.busy.store(false, Ordering::SeqCst);
+            true
+        }
+        fn submit(&self, _job: &SearchJob) -> SearchReport {
+            unreachable!("pool tests drive the shard path only")
+        }
+        fn run_shard(
+            &self,
+            job: &SearchJob,
+            spec: &ShardSpec,
+            interval: u64,
+            sink: &dyn CheckpointSink,
+        ) -> ShardReport {
+            if self.busy.load(Ordering::SeqCst) {
+                self.saw_busy.store(true, Ordering::SeqCst);
+            }
+            if spec.d == 1 && self.faulted.lock().insert(spec.shard_id) {
+                return ShardReport {
+                    outcome: ShardOutcome::Faulted { reason: "first attempt" },
+                    swept: 0,
+                    elapsed: Duration::ZERO,
+                    cost: SearchCost::default(),
+                };
+            }
+            crate::shard::execute_job_shard(job, spec, interval, sink)
+        }
+    }
+
+    #[test]
+    fn virtual_attempts_start_only_once_the_supervisor_parks() {
+        // Both distance-1 shards fault in the same tick, so the
+        // supervisor re-dispatches the first and then picks a backend
+        // for the second. The first re-dispatch must not be running
+        // during that pick, nor any launch during the picks that follow.
+        let sim = SimClock::new();
+        let clock = sim.handle();
+        let backend = Arc::new(SlowPickBackend {
+            faulted: Mutex::new(HashSet::new()),
+            busy: AtomicBool::new(false),
+            saw_busy: AtomicBool::new(false),
+        });
+        let pool = SupervisedPool::with_clock(
+            vec![backend.clone(), backend.clone()],
+            fast_cfg(),
+            Arc::new(Registry::new()),
+            clock.clone(),
+        );
+        let _actor = clock.enter();
+        let base = U256::from_u64(0x77);
+        let client = base.flip_bit(8).flip_bit(200);
+        let report = pool.submit(&job_for(&client, &base, 2));
+        assert_eq!(report.outcome, Outcome::Found { seed: client, distance: 2 });
+        assert_eq!(report.extra("redispatches"), Some(2));
+        assert!(!backend.saw_busy.load(Ordering::SeqCst), "a worker ran mid-batch");
     }
 
     #[test]
