@@ -1,18 +1,16 @@
 //! SIMD-lane hashing vs the scalar fixed-32-byte paths (§3.2.2
-//! extension): explicit `std::arch` kernels (AVX2 / AVX-512) and the
-//! portable interleaved kernels (unselected by dispatch, kept on the
-//! record), grouped per ISA tier, plus the runtime dispatcher's own
-//! batch entry points. Prints per-path
-//! criterion timings, a scalar-vs-lanes throughput table, and writes
-//! `BENCH_hash_lanes.json`.
+//! extension): explicit `std::arch` kernels (AVX2 / AVX-512), grouped
+//! per ISA tier, plus the runtime dispatcher's own batch entry points.
+//! Prints per-path criterion timings, a scalar-vs-lanes throughput
+//! table, and writes `BENCH_hash_lanes.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rbc_bench::{
-    adaptive_table, lane_table, measure_adaptive_batching, measure_hash_lane_rates,
-    write_hash_lane_json,
+    adaptive_table, hash_lanes_artifact, lane_table, measure_adaptive_batching,
+    measure_hash_lane_rates,
 };
 use rbc_bits::U256;
-use rbc_hash::{dispatch, lanes, sha1::sha1_fixed32, sha3::sha3_256_fixed32};
+use rbc_hash::{dispatch, sha1::sha1_fixed32, sha3::sha3_256_fixed32};
 
 fn seeds(n: usize) -> Vec<U256> {
     let mut x = 0x0123_4567_89AB_CDEFu64;
@@ -34,20 +32,6 @@ fn bench_sha1_lanes(c: &mut Criterion) {
         b.iter(|| {
             for seed in &s {
                 black_box(sha1_fixed32(black_box(seed)));
-            }
-        })
-    });
-    g.bench_function("portable_x4", |b| {
-        b.iter(|| {
-            for c in s.chunks_exact(4) {
-                black_box(lanes::sha1_fixed32_x4(c.try_into().expect("chunk of 4")));
-            }
-        })
-    });
-    g.bench_function("portable_x8", |b| {
-        b.iter(|| {
-            for c in s.chunks_exact(8) {
-                black_box(lanes::sha1_fixed32_x8(c.try_into().expect("chunk of 8")));
             }
         })
     });
@@ -94,23 +78,6 @@ fn bench_sha3_lanes(c: &mut Criterion) {
         b.iter(|| {
             for seed in &s {
                 black_box(sha3_256_fixed32(black_box(seed)));
-            }
-        })
-    });
-    // The measured counterexample: two interleaved Keccak states spill
-    // past the GPR file and run *slower* than scalar; dispatch excludes
-    // this width, and this group keeps the evidence on the record.
-    g.bench_function("portable_x2_excluded", |b| {
-        b.iter(|| {
-            for c in s.chunks_exact(2) {
-                black_box(lanes::sha3_256_fixed32_x2(c.try_into().expect("chunk of 2")));
-            }
-        })
-    });
-    g.bench_function("portable_x4", |b| {
-        b.iter(|| {
-            for c in s.chunks_exact(4) {
-                black_box(lanes::sha3_256_fixed32_x4(c.try_into().expect("chunk of 4")));
             }
         })
     });
@@ -165,7 +132,7 @@ fn emit_lane_report(_c: &mut Criterion) {
     lane_table(&rows).print();
     let adaptive = measure_adaptive_batching(400);
     adaptive_table(&adaptive).print();
-    match write_hash_lane_json("BENCH_hash_lanes.json", &rows, &adaptive) {
+    match hash_lanes_artifact(&rows, &adaptive).write() {
         Ok(()) => println!("wrote BENCH_hash_lanes.json"),
         Err(e) => eprintln!("could not write BENCH_hash_lanes.json: {e}"),
     }

@@ -30,7 +30,7 @@
 //! [`rbc_core::attack`] opponent model: Equation 1 server work per
 //! rejection vs the Equation 2 opponent key space, and the measured
 //! flood cost with and without enforcement. Results land in
-//! `BENCH_adversarial.json` behind [`validate_adversarial_json`].
+//! `BENCH_adversarial.json` from [`AdversarialOutcome::artifact`].
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -47,8 +47,11 @@ use rbc_pqc::LightSaber;
 use rbc_puf::ModelPuf;
 use rbc_telemetry::{attrib, exhaustion_slo, Alert, Attribution, NullRecorder, SloEvaluator};
 
-use crate::world::{self, fold, ledger_violations, Actor, World, FLOOD_SALTS, MAX_D};
-use crate::FloodSchedule;
+use serde_json::Value as Json;
+
+use crate::artifact::{detail, object};
+use crate::world::{self, fold, ledger_violations, Actor, Replay, World, FLOOD_SALTS, MAX_D};
+use crate::{Artifact, FloodSchedule};
 
 /// Dispatcher queue limit.
 const QUEUE_LIMIT: usize = 12;
@@ -141,7 +144,7 @@ fn retry_jitter(i: usize, tries: u32) -> Duration {
 
 /// One sub-run's service ledger (the `issued = accepted + rejected +
 /// timed_out + shed + errors` books, plus the honest-client tally).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, serde::Serialize)]
 pub struct RunLedger {
     /// Requests issued (calls to `complete`).
     pub issued: u64,
@@ -674,180 +677,66 @@ pub fn render_adversarial(o: &AdversarialOutcome, color: bool) -> String {
     out
 }
 
-/// Writes the run (plus its replay verdict) to `path` as the
-/// `BENCH_adversarial.json` artifact.
-pub fn write_adversarial_json(
-    path: &str,
-    outcome: &AdversarialOutcome,
-    replayed: u64,
-    divergences: u64,
-    wall_secs: f64,
-) -> std::io::Result<()> {
-    use serde_json::Value;
-    let ledger = |l: &RunLedger| {
-        Value::Object(vec![
-            ("issued".to_string(), Value::UInt(l.issued)),
-            ("accepted".to_string(), Value::UInt(l.accepted)),
-            ("rejected".to_string(), Value::UInt(l.rejected)),
-            ("timed_out".to_string(), Value::UInt(l.timed_out)),
-            ("shed".to_string(), Value::UInt(l.shed)),
-            ("errors".to_string(), Value::UInt(l.errors)),
-            ("receipts".to_string(), Value::UInt(l.receipts)),
-            ("hashes".to_string(), Value::UInt(l.hashes)),
-            ("honest_attempts".to_string(), Value::UInt(l.honest_attempts)),
-            ("honest_accepted".to_string(), Value::UInt(l.honest_accepted)),
-        ])
-    };
-    let alerts = Value::Array(
-        outcome
-            .alerts
-            .iter()
-            .map(|a| {
-                Value::Object(vec![
-                    ("spec".to_string(), Value::Str(a.spec.clone())),
-                    ("severity".to_string(), Value::Str(a.severity.name().to_string())),
-                    ("at_ns".to_string(), Value::UInt(a.at_ns)),
-                    ("fast_burn".to_string(), Value::Float(a.fast_burn)),
-                    ("slow_burn".to_string(), Value::Float(a.slow_burn)),
-                ])
-            })
-            .collect(),
-    );
-    let doc = Value::Object(vec![
-        ("bench".to_string(), Value::Str("adversarial".to_string())),
-        ("unit".to_string(), Value::Str("mixed".to_string())),
-        ("seed".to_string(), Value::UInt(outcome.seed)),
-        ("ticks".to_string(), Value::UInt(outcome.ticks)),
-        ("sim_secs".to_string(), Value::Float(outcome.sim_secs)),
-        ("wall_secs".to_string(), Value::Float(wall_secs)),
-        ("digest".to_string(), Value::Str(format!("{:016x}", outcome.digest))),
-        ("replayed".to_string(), Value::UInt(replayed)),
-        ("divergences".to_string(), Value::UInt(divergences)),
-        ("violations".to_string(), Value::UInt(outcome.violations.len() as u64)),
-        ("p99_baseline_ms".to_string(), Value::Float(outcome.p99_baseline_ms)),
-        ("p99_flood_ms".to_string(), Value::Float(outcome.p99_flood_ms)),
-        ("p99_ratio".to_string(), Value::Float(outcome.p99_ratio)),
-        ("honest_acceptance".to_string(), Value::Float(outcome.honest_acceptance)),
-        ("tokens_spent".to_string(), Value::UInt(outcome.tokens_spent)),
-        ("tokens_refused".to_string(), Value::UInt(outcome.tokens_refused)),
-        ("cache_hits".to_string(), Value::UInt(outcome.cache_hits)),
-        ("quarantines".to_string(), Value::UInt(outcome.quarantines)),
-        ("admission_shed".to_string(), Value::UInt(outcome.admission_shed)),
-        ("depth_capped".to_string(), Value::UInt(outcome.depth_capped)),
-        ("brownout_peak".to_string(), Value::Str(outcome.brownout_peak.to_string())),
-        ("brownout_final".to_string(), Value::Str(outcome.brownout_final.to_string())),
-        ("attacker_requests".to_string(), Value::UInt(outcome.attacker_requests)),
-        ("attacker_hashes".to_string(), Value::UInt(outcome.attacker_hashes)),
-        ("unenforced_hashes".to_string(), Value::UInt(outcome.unenforced_hashes)),
-        ("avoided_share".to_string(), Value::Float(outcome.avoided_share)),
-        ("server_price".to_string(), Value::UInt(outcome.server_price)),
-        ("asymmetry_bits".to_string(), Value::Float(outcome.asymmetry_bits)),
-        ("opponent_log10_years".to_string(), Value::Float(outcome.opponent_log10_years)),
-        ("kernel".to_string(), Value::Str(outcome.kernel.to_string())),
-        ("baseline".to_string(), ledger(&outcome.baseline)),
-        ("flood".to_string(), ledger(&outcome.flood)),
-        ("alerts".to_string(), alerts),
-    ]);
-    let text = serde_json::to_string(&doc)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(path, text)
-}
-
-/// Validates a `BENCH_adversarial.json` document — the `repro
-/// adversarial --smoke` CI gate. Requires the `adversarial` envelope, a
-/// full run span, a replayed run with zero digest divergences, no
-/// cross-check violations, balanced books in both worlds, the headline
-/// gates (honest acceptance ≥ 99% and p99 within 2× of baseline under
-/// the flood), every enforcement mechanism engaged (cache hits, bucket
-/// refusals, a quarantine, a non-Normal brownout peak with full
-/// recovery), at least half the flood's search work avoided, and the
-/// Equation 1 / Equation 2 asymmetry in the expected range.
-pub fn validate_adversarial_json(text: &str) -> Result<(), String> {
-    let doc: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| format!("not JSON: {e}"))?;
-    let bench = doc.field("bench").ok().and_then(serde_json::Value::as_str);
-    if bench != Some("adversarial") {
-        return Err(format!("bench field is {bench:?}, expected \"adversarial\""));
-    }
-    let get_u64 = |f: &str| {
-        doc.field(f).ok().and_then(serde_json::Value::as_u64).ok_or(format!("missing field {f}"))
-    };
-    let get_f64 = |f: &str| {
-        doc.field(f).ok().and_then(serde_json::Value::as_f64).ok_or(format!("missing field {f}"))
-    };
-    let get_str = |f: &str| {
-        doc.field(f).ok().and_then(serde_json::Value::as_str).ok_or(format!("missing field {f}"))
-    };
-    if get_f64("sim_secs")? < 85.0 {
-        return Err(format!("run spanned {:.1} sim-seconds, need ≥ 85", get_f64("sim_secs")?));
-    }
-    if get_u64("replayed")? == 0 {
-        return Err("no replay was run for the determinism check".to_string());
-    }
-    if get_u64("divergences")? != 0 {
-        return Err(format!("{} replay digest divergences", get_u64("divergences")?));
-    }
-    if get_u64("violations")? != 0 {
-        return Err("run reported cross-check violations".to_string());
-    }
-    for world in ["baseline", "flood"] {
-        let w = doc.field(world).map_err(|_| format!("missing {world} ledger"))?;
-        let u = |f: &str| {
-            w.field(f)
-                .ok()
-                .and_then(serde_json::Value::as_u64)
-                .ok_or(format!("missing field {world}.{f}"))
-        };
-        let issued = u("issued")?;
-        let tallied = u("accepted")? + u("rejected")? + u("timed_out")? + u("shed")? + u("errors")?;
-        if issued != tallied {
-            return Err(format!("{world}: books do not balance: {issued} != {tallied}"));
+impl AdversarialOutcome {
+    /// The `BENCH_adversarial.json` artifact of this run and its
+    /// `replay`. Gates a full run span, a replay with no divergence, no
+    /// cross-check violation, balanced books (≥ 50 requests, a receipt
+    /// per completed request) in both worlds, the headline bars (honest
+    /// acceptance ≥ 99% and p99 within 2× of the baseline under the
+    /// flood), every enforcement mechanism engaged (cache hits, bucket
+    /// refusals, a quarantine, a brownout that engaged and recovered),
+    /// at least half the flood's search work avoided, and the
+    /// Equation 1 / Equation 2 asymmetry in range. Every enforcement
+    /// and ledger counter is recorded exactly in `BASELINE.json`.
+    /// `detail` holds both ledgers and the alert log.
+    pub fn artifact(&self, replay: Replay) -> Artifact {
+        let mut a = Artifact::new(
+            "adversarial",
+            object(vec![
+                ("seed", Json::UInt(self.seed)),
+                ("kernel", Json::Str(self.kernel.to_string())),
+                ("brownout_peak", Json::Str(self.brownout_peak.to_string())),
+                ("brownout_final", Json::Str(self.brownout_final.to_string())),
+                ("baseline", detail(&self.baseline)),
+                ("flood", detail(&self.flood)),
+                ("alerts", world::alerts_detail(&self.alerts)),
+            ]),
+        );
+        a.metric("adversarial.ticks", self.ticks).baseline_exact();
+        world::replay_metrics(&mut a, replay, self.violations.len(), self.sim_secs);
+        a.metric("adversarial.cache_hits", self.cache_hits).at_least(1.0).baseline_exact();
+        a.metric("adversarial.tokens_refused", self.tokens_refused).at_least(1.0).baseline_exact();
+        a.metric("adversarial.quarantines", self.quarantines).at_least(1.0).baseline_exact();
+        a.metric("adversarial.admission_shed", self.admission_shed).baseline_exact();
+        a.metric("adversarial.depth_capped", self.depth_capped).baseline_exact();
+        a.metric("adversarial.attacker_requests", self.attacker_requests).baseline_exact();
+        a.metric("adversarial.attacker_hashes", self.attacker_hashes).baseline_exact();
+        for (world, l) in [("baseline", &self.baseline), ("flood", &self.flood)] {
+            let id = format!("adversarial.{world}");
+            a.metric(format!("{id}_issued"), l.issued).at_least(50.0).baseline_exact();
+            a.metric(format!("{id}_accepted"), l.accepted).baseline_exact();
+            a.metric(format!("{id}_rejected"), l.rejected).baseline_exact();
+            a.metric(format!("{id}_shed"), l.shed).baseline_exact();
+            let outcomes = [l.accepted, l.rejected, l.timed_out, l.shed, l.errors];
+            a.metric(format!("{id}_unbooked"), world::unbooked(l.issued, outcomes)).exactly(0.0);
+            let unbilled = l.issued as f64 - l.errors as f64 - l.receipts as f64;
+            a.metric(format!("{id}_unbilled_requests"), unbilled).exactly(0.0);
         }
-        if u("receipts")? != issued - u("errors")? {
-            return Err(format!("{world}: receipts do not cover every completed request"));
-        }
-        if issued < 50 {
-            return Err(format!("{world}: only {issued} requests issued, need ≥ 50"));
-        }
+        a.metric("adversarial.honest_acceptance", self.honest_acceptance).at_least(0.99);
+        a.metric("adversarial.p99_baseline_ms", self.p99_baseline_ms);
+        a.metric("adversarial.p99_flood_ms", self.p99_flood_ms);
+        a.metric("adversarial.p99_ratio", self.p99_ratio).at_most(2.0);
+        a.metric("adversarial.tokens_spent", self.tokens_spent);
+        a.metric("adversarial.brownout_engaged", self.brownout_peak != "normal").exactly(1.0);
+        a.metric("adversarial.brownout_recovered", self.brownout_final == "normal").exactly(1.0);
+        a.metric("adversarial.unenforced_hashes", self.unenforced_hashes);
+        a.metric("adversarial.avoided_share", self.avoided_share).at_least(0.5);
+        a.metric("adversarial.server_price", self.server_price);
+        a.metric("adversarial.asymmetry_bits", self.asymmetry_bits).at_least(200.0);
+        a.metric("adversarial.opponent_log10_years", self.opponent_log10_years).at_least(40.0);
+        a.digest("adversarial.digest", self.digest);
+        a
     }
-    if get_f64("honest_acceptance")? < 0.99 {
-        return Err(format!(
-            "honest acceptance {:.4} under the flood, need ≥ 0.99",
-            get_f64("honest_acceptance")?
-        ));
-    }
-    let ratio = get_f64("p99_ratio")?;
-    if !(0.0..=2.0).contains(&ratio) {
-        return Err(format!("honest p99 ratio {ratio:.2} outside (0, 2]"));
-    }
-    if get_u64("cache_hits")? == 0 {
-        return Err("negative cache never answered a replay".to_string());
-    }
-    if get_u64("tokens_refused")? == 0 {
-        return Err("token bucket never refused a request".to_string());
-    }
-    if get_u64("quarantines")? == 0 {
-        return Err("no client was quarantined".to_string());
-    }
-    if get_str("brownout_peak")? == "normal" {
-        return Err("brownout never engaged during the flood".to_string());
-    }
-    if get_str("brownout_final")? != "normal" {
-        return Err(format!("brownout did not recover: {}", get_str("brownout_final")?));
-    }
-    if get_f64("avoided_share")? < 0.5 {
-        return Err(format!(
-            "enforcement avoided only {:.0}% of the flood's search work",
-            get_f64("avoided_share")? * 100.0
-        ));
-    }
-    if get_f64("asymmetry_bits")? < 200.0 {
-        return Err(format!("asymmetry {:.1} bits below 200", get_f64("asymmetry_bits")?));
-    }
-    if get_f64("opponent_log10_years")? < 40.0 {
-        return Err("opponent brute-force horizon implausibly small".to_string());
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -873,7 +762,7 @@ mod tests {
     }
 
     #[test]
-    fn adversarial_json_round_trips_and_validates() {
+    fn adversarial_artifact_gates_enforcement() {
         let ledger = |issued: u64, accepted: u64, rejected: u64, shed: u64| RunLedger {
             issued,
             accepted,
@@ -922,70 +811,77 @@ mod tests {
             digest: 0x0123_4567_89AB_CDEF,
             violations: Vec::new(),
         };
-        let path = std::env::temp_dir().join("rbc_bench_adversarial_test.json");
-        let path = path.to_str().unwrap();
-        let rewrite = |f: &mut dyn FnMut(&mut AdversarialOutcome) -> (u64, u64)| {
+        let gate = |f: &dyn Fn(&mut AdversarialOutcome) -> (u64, u64)| {
             let mut o = outcome.clone();
             let (replayed, divergences) = f(&mut o);
-            write_adversarial_json(path, &o, replayed, divergences, 2.0).expect("write");
-            let text = std::fs::read_to_string(path).expect("read");
-            let _ = std::fs::remove_file(path);
-            text
+            let a = o.artifact(Replay { replayed, divergences, wall_secs: 2.0 });
+            a.gate(&a.to_json())
+        };
+        let fails_on = |id: &str, f: &dyn Fn(&mut AdversarialOutcome) -> (u64, u64)| {
+            let err = gate(f).expect_err(id);
+            assert!(err.contains(id), "{err}");
         };
 
-        let good = rewrite(&mut |_| (1, 0));
-        validate_adversarial_json(&good).expect("round-trip validates");
-        assert!(validate_adversarial_json("not json").is_err());
-
-        let diverged = rewrite(&mut |_| (1, 1));
-        assert!(validate_adversarial_json(&diverged).is_err(), "divergence must fail");
-        let no_replay = rewrite(&mut |_| (0, 0));
-        assert!(validate_adversarial_json(&no_replay).is_err(), "missing replay must fail");
-        let lockout = rewrite(&mut |o| {
+        gate(&|_| (1, 0)).expect("round trip passes");
+        fails_on("adversarial.divergences", &|_| (1, 1));
+        fails_on("adversarial.replayed", &|_| (0, 0));
+        fails_on("adversarial.honest_acceptance", &|o| {
             o.honest_acceptance = 0.9;
             (1, 0)
         });
-        assert!(validate_adversarial_json(&lockout).is_err(), "honest lockout must fail");
-        let slow = rewrite(&mut |o| {
+        fails_on("adversarial.p99_ratio", &|o| {
             o.p99_ratio = 3.5;
             (1, 0)
         });
-        assert!(validate_adversarial_json(&slow).is_err(), "p99 blowout must fail");
-        let no_cache = rewrite(&mut |o| {
+        fails_on("adversarial.cache_hits", &|o| {
             o.cache_hits = 0;
             (1, 0)
         });
-        assert!(validate_adversarial_json(&no_cache).is_err(), "idle cache must fail");
-        let no_refusal = rewrite(&mut |o| {
+        fails_on("adversarial.tokens_refused", &|o| {
             o.tokens_refused = 0;
             (1, 0)
         });
-        assert!(validate_adversarial_json(&no_refusal).is_err(), "idle bucket must fail");
-        let no_quarantine = rewrite(&mut |o| {
+        fails_on("adversarial.quarantines", &|o| {
             o.quarantines = 0;
             (1, 0)
         });
-        assert!(validate_adversarial_json(&no_quarantine).is_err(), "no quarantine must fail");
-        let never_engaged = rewrite(&mut |o| {
+        fails_on("adversarial.brownout_engaged", &|o| {
             o.brownout_peak = "normal";
             (1, 0)
         });
-        assert!(validate_adversarial_json(&never_engaged).is_err(), "idle brownout must fail");
-        let stuck = rewrite(&mut |o| {
+        fails_on("adversarial.brownout_recovered", &|o| {
             o.brownout_final = "degraded";
             (1, 0)
         });
-        assert!(validate_adversarial_json(&stuck).is_err(), "non-recovery must fail");
-        let expensive = rewrite(&mut |o| {
+        fails_on("adversarial.avoided_share", &|o| {
             o.avoided_share = 0.2;
             (1, 0)
         });
-        assert!(validate_adversarial_json(&expensive).is_err(), "weak enforcement must fail");
-        let unbalanced = rewrite(&mut |o| {
+        fails_on("adversarial.flood_unbooked", &|o| {
             o.flood.accepted += 1;
             (1, 0)
         });
-        assert!(validate_adversarial_json(&unbalanced).is_err(), "unbalanced books must fail");
+        fails_on("adversarial.baseline_unbilled_requests", &|o| {
+            o.baseline.receipts -= 1;
+            (1, 0)
+        });
+        fails_on("adversarial.flood_issued", &|o| {
+            o.flood = ledger(40, 30, 10, 0);
+            (1, 0)
+        });
+        fails_on("adversarial.asymmetry_bits", &|o| {
+            o.asymmetry_bits = 150.0;
+            (1, 0)
+        });
+        fails_on("adversarial.opponent_log10_years", &|o| {
+            o.opponent_log10_years = 20.0;
+            (1, 0)
+        });
+        // A NaN ratio (no baseline p99) is not a number the file can hold.
+        fails_on("adversarial.p99_ratio", &|o| {
+            o.p99_ratio = f64::NAN;
+            (1, 0)
+        });
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! `rbc_attrib_last_exhausted_trace` gauge — trace ids come from a
 //! process-global counter; the frozen trace is instead cross-checked
 //! against the attacker trace set.) Results land in
-//! `BENCH_attrib.json` behind [`validate_attrib_json`].
+//! `BENCH_attrib.json` from [`AttribOutcome::artifact`].
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,8 +37,11 @@ use rbc_telemetry::{
     Recorder, Severity, SloEvaluator, Tracer,
 };
 
-use crate::world::{self, fold, fold_bytes, ledger_violations, World, FLOOD_SALTS};
-use crate::FloodSchedule;
+use serde_json::Value as Json;
+
+use crate::artifact::{detail, object};
+use crate::world::{self, fold, fold_bytes, ledger_violations, Replay, World, FLOOD_SALTS};
+use crate::{Artifact, FloodSchedule};
 
 /// Dispatcher queue limit.
 const QUEUE_LIMIT: usize = 8;
@@ -356,194 +359,74 @@ pub fn render_attrib(o: &AttribOutcome, color: bool) -> String {
     out
 }
 
-/// Writes the run (plus its replay verdict) to `path` as the
-/// `BENCH_attrib.json` artifact.
-pub fn write_attrib_json(
-    path: &str,
-    outcome: &AttribOutcome,
-    replayed: u64,
-    divergences: u64,
-    wall_secs: f64,
-) -> std::io::Result<()> {
-    use serde_json::Value;
-    let hitters = |hs: &[HeavyHitter]| {
-        Value::Array(
-            hs.iter()
-                .map(|h| {
-                    Value::Object(vec![
-                        ("client".to_string(), Value::Str(h.key.clone())),
-                        ("count".to_string(), Value::UInt(h.count)),
-                        ("err".to_string(), Value::UInt(h.err)),
-                    ])
-                })
-                .collect(),
-        )
-    };
-    let calibration = Value::Array(
-        outcome
+impl AttribOutcome {
+    /// The `BENCH_attrib.json` artifact of this run and its `replay`.
+    /// Gates a full run span, a replay with no divergence, no
+    /// cross-check violation, balanced books (≥ 100 requests) with a
+    /// receipt for every completed request, an exhaustion-dominated
+    /// flood (rejections, ≥ 80% of hashes billed to exhausted searches),
+    /// attacker isolation in the top-K, the staged page-then-clear
+    /// alerts, the flight recorder frozen on an attacker trace, and a
+    /// non-empty top-K and calibration set. Every virtual-time counter is
+    /// recorded exactly in `BASELINE.json`. `detail` holds the top-K
+    /// tables, the calibration set and the alert log.
+    pub fn artifact(&self, replay: Replay) -> Artifact {
+        #[derive(serde::Serialize)]
+        struct Calibration {
+            backend: usize,
+            kind: &'static str,
+            hashes: u64,
+            busy_ns: u64,
+            rate: f64,
+        }
+        let hitters = |hs: &[HeavyHitter]| {
+            detail(&hs.iter().map(|h| (h.key.clone(), h.count, h.err)).collect::<Vec<_>>())
+        };
+        let calibration: Vec<Calibration> = self
             .calibration
             .iter()
-            .map(|c| {
-                Value::Object(vec![
-                    ("backend".to_string(), Value::UInt(c.backend as u64)),
-                    ("kind".to_string(), Value::Str(c.kind.to_string())),
-                    ("hashes".to_string(), Value::UInt(c.hashes)),
-                    ("busy_ns".to_string(), Value::UInt(c.busy_ns)),
-                    ("rate".to_string(), Value::Float(c.rate())),
-                ])
+            .map(|c| Calibration {
+                backend: c.backend,
+                kind: c.kind,
+                hashes: c.hashes,
+                busy_ns: c.busy_ns,
+                rate: c.rate(),
             })
-            .collect(),
-    );
-    let alerts = Value::Array(
-        outcome
-            .alerts
-            .iter()
-            .map(|a| {
-                Value::Object(vec![
-                    ("spec".to_string(), Value::Str(a.spec.clone())),
-                    ("severity".to_string(), Value::Str(a.severity.name().to_string())),
-                    ("at_ns".to_string(), Value::UInt(a.at_ns)),
-                    ("fast_burn".to_string(), Value::Float(a.fast_burn)),
-                    ("slow_burn".to_string(), Value::Float(a.slow_burn)),
-                ])
-            })
-            .collect(),
-    );
-    let doc = Value::Object(vec![
-        ("bench".to_string(), Value::Str("attrib".to_string())),
-        ("unit".to_string(), Value::Str("mixed".to_string())),
-        ("seed".to_string(), Value::UInt(outcome.seed)),
-        ("ticks".to_string(), Value::UInt(outcome.ticks)),
-        ("sim_secs".to_string(), Value::Float(outcome.sim_secs)),
-        ("wall_secs".to_string(), Value::Float(wall_secs)),
-        ("digest".to_string(), Value::Str(format!("{:016x}", outcome.digest))),
-        ("replayed".to_string(), Value::UInt(replayed)),
-        ("divergences".to_string(), Value::UInt(divergences)),
-        ("violations".to_string(), Value::UInt(outcome.violations.len() as u64)),
-        ("issued".to_string(), Value::UInt(outcome.issued)),
-        ("accepted".to_string(), Value::UInt(outcome.accepted)),
-        ("rejected".to_string(), Value::UInt(outcome.rejected)),
-        ("timed_out".to_string(), Value::UInt(outcome.timed_out)),
-        ("shed".to_string(), Value::UInt(outcome.shed)),
-        ("errors".to_string(), Value::UInt(outcome.errors)),
-        ("receipts".to_string(), Value::UInt(outcome.receipts)),
-        ("hashes".to_string(), Value::UInt(outcome.hashes)),
-        ("exhausted_hashes".to_string(), Value::UInt(outcome.exhausted_hashes)),
-        ("flight_frozen".to_string(), Value::Bool(outcome.flight_frozen)),
-        ("frozen_trace_is_attacker".to_string(), Value::Bool(outcome.frozen_trace_is_attacker)),
-        ("attackers_isolated".to_string(), Value::Bool(outcome.attackers_isolated)),
-        ("kernel".to_string(), Value::Str(outcome.kernel.to_string())),
-        ("top_hashes".to_string(), hitters(&outcome.top_hashes)),
-        ("top_exhausted".to_string(), hitters(&outcome.top_exhausted)),
-        ("calibration".to_string(), calibration),
-        ("alerts".to_string(), alerts),
-    ]);
-    let text = serde_json::to_string(&doc)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(path, text)
-}
-
-/// Validates a `BENCH_attrib.json` document — the `repro attrib
-/// --smoke` CI gate. Requires the `attrib` envelope, a full run span, a
-/// replayed run with zero digest divergences, no cross-check
-/// violations, balanced books with receipts covering every completed
-/// request, an exhaustion-dominated flood (rejections present, the
-/// exhausted share of hashes above 80 %), attacker isolation in the
-/// top-K, the staged page-then-clear alert sequence, the frozen flight
-/// recorder pinned to an attacker trace, and a non-empty calibration
-/// set.
-pub fn validate_attrib_json(text: &str) -> Result<(), String> {
-    let doc: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| format!("not JSON: {e}"))?;
-    let bench = doc.field("bench").ok().and_then(serde_json::Value::as_str);
-    if bench != Some("attrib") {
-        return Err(format!("bench field is {bench:?}, expected \"attrib\""));
+            .collect();
+        let mut a = Artifact::new(
+            "attrib",
+            object(vec![
+                ("seed", Json::UInt(self.seed)),
+                ("kernel", Json::Str(self.kernel.to_string())),
+                ("top_hashes", hitters(&self.top_hashes)),
+                ("top_exhausted", hitters(&self.top_exhausted)),
+                ("calibration", detail(&calibration)),
+                ("alerts", world::alerts_detail(&self.alerts)),
+            ]),
+        );
+        a.metric("attrib.ticks", self.ticks).baseline_exact();
+        world::replay_metrics(&mut a, replay, self.violations.len(), self.sim_secs);
+        a.metric("attrib.issued", self.issued).at_least(100.0).baseline_exact();
+        a.metric("attrib.accepted", self.accepted).baseline_exact();
+        a.metric("attrib.rejected", self.rejected).at_least(1.0).baseline_exact();
+        a.metric("attrib.receipts", self.receipts).baseline_exact();
+        a.metric("attrib.hashes", self.hashes).baseline_exact();
+        a.metric("attrib.exhausted_hashes", self.exhausted_hashes).baseline_exact();
+        let outcomes = [self.accepted, self.rejected, self.timed_out, self.shed, self.errors];
+        a.metric("attrib.unbooked", world::unbooked(self.issued, outcomes)).exactly(0.0);
+        let unbilled = self.issued as f64 - self.errors as f64 - self.receipts as f64;
+        a.metric("attrib.unbilled_requests", unbilled).exactly(0.0);
+        let share = self.exhausted_hashes as f64 / (self.hashes as f64).max(1.0);
+        a.metric("attrib.exhausted_share", share).at_least(0.8);
+        world::alert_metrics(&mut a, &self.alerts, 0.0);
+        a.metric("attrib.attackers_isolated", self.attackers_isolated).exactly(1.0);
+        a.metric("attrib.flight_frozen", self.flight_frozen).exactly(1.0);
+        a.metric("attrib.frozen_trace_is_attacker", self.frozen_trace_is_attacker).exactly(1.0);
+        a.metric("attrib.top_hashes", self.top_hashes.len()).at_least(1.0);
+        a.metric("attrib.calibrated_backends", self.calibration.len()).at_least(1.0);
+        a.digest("attrib.digest", self.digest);
+        a
     }
-    let get_u64 = |f: &str| {
-        doc.field(f).ok().and_then(serde_json::Value::as_u64).ok_or(format!("missing field {f}"))
-    };
-    let get_bool = |f: &str| doc.field(f).ok().and_then(serde_json::Value::as_bool);
-    let sim_secs =
-        doc.field("sim_secs").ok().and_then(serde_json::Value::as_f64).ok_or("missing sim_secs")?;
-    if sim_secs < 85.0 {
-        return Err(format!("run spanned {sim_secs:.1} sim-seconds, need ≥ 85"));
-    }
-    if get_u64("replayed")? == 0 {
-        return Err("no replay was run for the determinism check".to_string());
-    }
-    let divergences = get_u64("divergences")?;
-    if divergences != 0 {
-        return Err(format!("{divergences} replay digest divergences"));
-    }
-    if get_u64("violations")? != 0 {
-        return Err("run reported cross-check violations".to_string());
-    }
-    let issued = get_u64("issued")?;
-    if issued < 100 {
-        return Err(format!("only {issued} requests issued, need ≥ 100"));
-    }
-    let tallied = get_u64("accepted")?
-        + get_u64("rejected")?
-        + get_u64("timed_out")?
-        + get_u64("shed")?
-        + get_u64("errors")?;
-    if issued != tallied {
-        return Err(format!("books do not balance: issued {issued} != tallied {tallied}"));
-    }
-    if get_u64("receipts")? != issued - get_u64("errors")? {
-        return Err("receipts do not cover every completed request".to_string());
-    }
-    if get_u64("rejected")? == 0 {
-        return Err("no rejections — the staged flood never exhausted a search".to_string());
-    }
-    let hashes = get_u64("hashes")?;
-    let exhausted = get_u64("exhausted_hashes")?;
-    if hashes == 0 || (exhausted as f64) / (hashes as f64) < 0.8 {
-        return Err(format!(
-            "exhausted share {exhausted}/{hashes} below 80% — the flood never dominated"
-        ));
-    }
-    if get_bool("attackers_isolated") != Some(true) {
-        return Err("top-K did not isolate the flood clients".to_string());
-    }
-    if get_bool("flight_frozen") != Some(true) {
-        return Err("flight recorder was not frozen by the page".to_string());
-    }
-    if get_bool("frozen_trace_is_attacker") != Some(true) {
-        return Err("frozen trace does not belong to an attacker session".to_string());
-    }
-    let alerts = doc
-        .field("alerts")
-        .ok()
-        .and_then(serde_json::Value::as_array)
-        .ok_or("missing alerts array")?;
-    let severities: Vec<&str> = alerts
-        .iter()
-        .map(|a| a.field("severity").ok().and_then(serde_json::Value::as_str).unwrap_or(""))
-        .collect();
-    if !severities.contains(&"page") {
-        return Err(format!("no page alert during the staged flood: {severities:?}"));
-    }
-    if severities.last() != Some(&"clear") {
-        return Err(format!("run must end with a recovery to clear: {severities:?}"));
-    }
-    let top = doc
-        .field("top_hashes")
-        .ok()
-        .and_then(serde_json::Value::as_array)
-        .ok_or("missing top_hashes array")?;
-    if top.is_empty() {
-        return Err("empty hashes-consumed top-K".to_string());
-    }
-    let calibration = doc
-        .field("calibration")
-        .ok()
-        .and_then(serde_json::Value::as_array)
-        .ok_or("missing calibration array")?;
-    if calibration.is_empty() {
-        return Err("empty backend calibration set".to_string());
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -570,7 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn attrib_json_round_trips_and_validates() {
+    fn attrib_artifact_gates_the_staged_flood() {
         let outcome = AttribOutcome {
             seed: 0xA77B,
             ticks: 360,
@@ -618,66 +501,72 @@ mod tests {
             digest: 0x0123_4567_89AB_CDEF,
             violations: Vec::new(),
         };
-        let path = std::env::temp_dir().join("rbc_bench_attrib_test.json");
-        let path = path.to_str().unwrap();
-        let rewrite = |f: &mut dyn FnMut(&mut AttribOutcome) -> (u64, u64)| {
+        let gate = |f: &dyn Fn(&mut AttribOutcome) -> (u64, u64)| {
             let mut o = outcome.clone();
             let (replayed, divergences) = f(&mut o);
-            write_attrib_json(path, &o, replayed, divergences, 2.0).expect("write");
-            let text = std::fs::read_to_string(path).expect("read");
-            let _ = std::fs::remove_file(path);
-            text
+            let a = o.artifact(Replay { replayed, divergences, wall_secs: 2.0 });
+            a.gate(&a.to_json())
+        };
+        let fails_on = |id: &str, f: &dyn Fn(&mut AttribOutcome) -> (u64, u64)| {
+            let err = gate(f).expect_err(id);
+            assert!(err.contains(id), "{err}");
         };
 
-        let good = rewrite(&mut |_| (1, 0));
-        validate_attrib_json(&good).expect("round-trip validates");
-        assert!(validate_attrib_json("not json").is_err());
-
-        let diverged = rewrite(&mut |_| (1, 1));
-        assert!(validate_attrib_json(&diverged).is_err(), "divergence must fail");
-        let no_replay = rewrite(&mut |_| (0, 0));
-        assert!(validate_attrib_json(&no_replay).is_err(), "missing replay must fail");
-        let no_rejections = rewrite(&mut |o| {
+        gate(&|_| (1, 0)).expect("round trip passes");
+        fails_on("attrib.divergences", &|_| (1, 1));
+        fails_on("attrib.replayed", &|_| (0, 0));
+        fails_on("attrib.rejected", &|o| {
             o.rejected = 0;
             o.accepted = 390;
             (1, 0)
         });
-        assert!(validate_attrib_json(&no_rejections).is_err(), "missing flood must fail");
-        let diluted = rewrite(&mut |o| {
+        fails_on("attrib.exhausted_share", &|o| {
             o.exhausted_hashes = o.hashes / 2;
             (1, 0)
         });
-        assert!(validate_attrib_json(&diluted).is_err(), "weak exhaustion share must fail");
-        let missing_receipts = rewrite(&mut |o| {
+        fails_on("attrib.unbilled_requests", &|o| {
             o.receipts -= 1;
             (1, 0)
         });
-        assert!(validate_attrib_json(&missing_receipts).is_err(), "unbilled request must fail");
-        let not_isolated = rewrite(&mut |o| {
+        fails_on("attrib.unbooked", &|o| {
+            o.accepted += 1;
+            (1, 0)
+        });
+        fails_on("attrib.issued", &|o| {
+            o.issued = 90;
+            o.receipts = 90;
+            o.accepted = 0;
+            o.shed = 0;
+            (1, 0)
+        });
+        fails_on("attrib.attackers_isolated", &|o| {
             o.attackers_isolated = false;
             (1, 0)
         });
-        assert!(validate_attrib_json(&not_isolated).is_err(), "non-isolation must fail");
-        let no_page = rewrite(&mut |o| {
+        fails_on("attrib.pages", &|o| {
             o.alerts.remove(0);
             (1, 0)
         });
-        assert!(validate_attrib_json(&no_page).is_err(), "missing page must fail");
-        let no_clear = rewrite(&mut |o| {
+        fails_on("attrib.ends_clear", &|o| {
             o.alerts.pop();
             (1, 0)
         });
-        assert!(validate_attrib_json(&no_clear).is_err(), "missing recovery must fail");
-        let wrong_trace = rewrite(&mut |o| {
+        fails_on("attrib.flight_frozen", &|o| {
+            o.flight_frozen = false;
+            (1, 0)
+        });
+        fails_on("attrib.frozen_trace_is_attacker", &|o| {
             o.frozen_trace_is_attacker = false;
             (1, 0)
         });
-        assert!(validate_attrib_json(&wrong_trace).is_err(), "wrong frozen trace must fail");
-        let no_calibration = rewrite(&mut |o| {
+        fails_on("attrib.top_hashes", &|o| {
+            o.top_hashes.clear();
+            (1, 0)
+        });
+        fails_on("attrib.calibrated_backends", &|o| {
             o.calibration.clear();
             (1, 0)
         });
-        assert!(validate_attrib_json(&no_calibration).is_err(), "empty calibration must fail");
     }
 
     #[test]

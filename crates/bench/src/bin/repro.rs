@@ -1,31 +1,21 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [all|table1|fig3|table4|table5|table6|fig4|table7|ablations|cpu-scaling|service|telemetry|triage|chaos|sim|verify]
-//!       [--quick] [--trials N] [--full-cpu] [--metrics-dump] [--smoke]
+//! repro [all|table1|fig3|table4|table5|table6|fig4|table7|ablations|hash-lanes|cpu-scaling|
+//!        future|security|extensions|telemetry|triage|chaos|sim|monitor|attrib|adversarial|
+//!        regress|verify]
+//!       [--quick] [--trials N] [--full-cpu] [--smoke] [--update]
 //! ```
 //!
-//! `telemetry` drives authentications through the instrumented pipeline
-//! on ≥2 substrates and writes the per-phase latency breakdown to
-//! `BENCH_telemetry.json` (`--smoke` validates the artifact and exits
-//! nonzero on failure — the CI gate). `triage` drives load over lossy
-//! RPC links against a pool hiding a degraded backend and writes the
-//! slowest-K stitched traces to `BENCH_triage.json`, with the flight
-//! recorder's post-mortem of the induced deadline breach (`--smoke`
-//! validates stitching and exits nonzero — the CI gate). `chaos` drives
-//! deterministic authentications through a supervised backend pool under
-//! injected faults (mid-sweep crash, stalled shards) and writes the
-//! recovery report to `BENCH_chaos.json` (`--smoke` validates the ≥95%
-//! recovery bar and exits nonzero — the CI gate). `monitor` runs seeded
-//! multi-client load against the real service stack on a virtual clock,
-//! scrapes it into ring-buffer time series with multi-window SLO burn
-//! alerts, renders a terminal dashboard, and writes
-//! `BENCH_monitor.json` after a bit-identical replay (`--smoke`
-//! validates the artifact — the CI gate). `regress` compares the
-//! current artifacts against the committed `BASELINE.json` with
-//! per-metric noise tolerances and exits nonzero on a regression
-//! (`--update` rewrites the baseline). `service --metrics-dump` prints
-//! the final sweep's whole-pipeline Prometheus snapshot.
+//! `hash-lanes`, `telemetry`, `triage`, `chaos`, `sim`, `monitor`,
+//! `attrib` and `adversarial` each write one `BENCH_<name>.json`
+//! artifact: a list of named metrics with their `--smoke` bounds and
+//! baseline policies (DESIGN.md §11). With `--smoke` the command reads
+//! the file back, checks every bound and exits nonzero on a failure,
+//! naming the metric — the CI gates. `regress` compares the artifacts
+//! present against the committed `BASELINE.json` with per-metric noise
+//! tolerances and exits nonzero on a regression (`--update` rewrites
+//! the baseline). `verify` checks cross-backend agreement end to end.
 //!
 //! Numbers labelled **paper** are the published values; **model** are our
 //! calibrated device models (the GPU/APU never existed on this machine);
@@ -43,10 +33,9 @@ use rbc_accel::{
     GpuDeviceModel, GpuHash, GpuKernelConfig, GpuSimBackend, MeasuredRate, PowerModel,
 };
 use rbc_bench::{
-    adaptive_table, fmt_count, fmt_rate, fmt_secs, lane_table, measure_adaptive_batching,
-    measure_derive_rate, measure_derive_rate_batched, measure_hash_lane_rates, measure_iter_rate,
-    service_table, validate_hash_lanes_json, write_hash_lane_json, write_service_json, ServiceRow,
-    TextTable,
+    adaptive_table, fmt_count, fmt_rate, fmt_secs, hash_lanes_artifact, lane_table,
+    measure_adaptive_batching, measure_derive_rate, measure_derive_rate_batched,
+    measure_hash_lane_rates, measure_iter_rate, Artifact, Replay, TextTable,
 };
 use rbc_bits::U256;
 use rbc_comb::{average_seeds, exhaustive_seeds, seeds_at_distance, SeedIterKind};
@@ -70,7 +59,6 @@ struct Opts {
     quick: bool,
     trials: usize,
     full_cpu: bool,
-    metrics_dump: bool,
     smoke: bool,
     update: bool,
 }
@@ -78,14 +66,7 @@ struct Opts {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cmds: Vec<String> = Vec::new();
-    let mut opts = Opts {
-        quick: false,
-        trials: 50,
-        full_cpu: false,
-        metrics_dump: false,
-        smoke: false,
-        update: false,
-    };
+    let mut opts = Opts { quick: false, trials: 50, full_cpu: false, smoke: false, update: false };
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -94,7 +75,6 @@ fn main() {
                 opts.trials = 10;
             }
             "--full-cpu" => opts.full_cpu = true,
-            "--metrics-dump" => opts.metrics_dump = true,
             "--smoke" => opts.smoke = true,
             "--update" => opts.update = true,
             "--trials" => {
@@ -126,7 +106,6 @@ fn main() {
                 future();
                 security();
                 extensions(&opts);
-                service(&opts);
                 telemetry(&opts);
                 triage(&opts);
                 chaos(&opts);
@@ -150,7 +129,6 @@ fn main() {
             "future" => future(),
             "security" => security(),
             "extensions" => extensions(&opts),
-            "service" => service(&opts),
             "telemetry" => telemetry(&opts),
             "triage" => triage(&opts),
             "chaos" => chaos(&opts),
@@ -168,7 +146,9 @@ fn main() {
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: repro [all|table1|fig3|table4|table5|table6|fig4|table7|ablations|hash-lanes|cpu-scaling|future|security|extensions|service|telemetry|triage|chaos|sim|monitor|attrib|adversarial|regress|verify] [--quick] [--trials N] [--full-cpu] [--metrics-dump] [--smoke] [--update]"
+        "usage: repro [all|table1|fig3|table4|table5|table6|fig4|table7|ablations|hash-lanes|\
+         cpu-scaling|future|security|extensions|telemetry|triage|chaos|sim|monitor|attrib|\
+         adversarial|regress|verify] [--quick] [--trials N] [--full-cpu] [--smoke] [--update]"
     );
     std::process::exit(2)
 }
@@ -615,13 +595,7 @@ fn hash_lanes(opts: &Opts) {
     let adaptive = measure_adaptive_batching(trials);
     adaptive_table(&adaptive).print();
 
-    write_and_gate(
-        opts,
-        "BENCH_hash_lanes.json",
-        |path| write_hash_lane_json(path, &rows, &adaptive),
-        validate_hash_lanes_json,
-        "selected kernels ≥ scalar, SHA-1 bar met, adaptive batching not slower",
-    );
+    write_and_gate(opts, &hash_lanes_artifact(&rows, &adaptive));
     if opts.smoke {
         return;
     }
@@ -874,92 +848,6 @@ fn extensions(opts: &Opts) {
     );
 }
 
-/// Multi-client AuthService under offered load: concurrent
-/// authentications multiplexed over a mixed dispatcher pool (2× CPU + the
-/// GPU functional simulator). Sweeps the number of simultaneous clients
-/// and reports latency percentiles, shed rate and per-backend
-/// utilization; writes `BENCH_service.json`.
-fn service(opts: &Opts) {
-    let loads: &[u64] = if opts.quick { &[2, 4, 8] } else { &[2, 4, 8, 16] };
-    // The dispatcher's budget is what remains of T = 20 s after the
-    // standard exchange's communication.
-    let budget = LatencyModel::paper_wan().search_budget(Duration::from_secs(20));
-    let mut rows = Vec::new();
-    for &load in loads {
-        let mut rng = StdRng::seed_from_u64(0x5E47 + load);
-        let ca_cfg = CaConfig {
-            max_d: 3,
-            engine: EngineConfig { threads: 2, ..Default::default() },
-            ..Default::default()
-        };
-        let mut ca = CertificateAuthority::new([7u8; 32], LightSaber, ca_cfg);
-        let mut clients = Vec::new();
-        for id in 0..load {
-            let mut c = Client::new(id, ModelPuf::sram(4096, 0xC11E + id));
-            if id + 1 == load && load >= 4 {
-                c.extra_noise = 6; // beyond max_d → a rejection in the mix
-            }
-            ca.enroll_client(id, c.device(), 0, &mut rng).expect("enroll");
-            clients.push(c);
-        }
-        let pool: Vec<Arc<dyn SearchBackend>> = vec![
-            Arc::new(CpuBackend::new(EngineConfig { threads: 2, ..Default::default() })),
-            Arc::new(CpuBackend::new(EngineConfig { threads: 2, ..Default::default() })),
-            Arc::new(GpuSimBackend::new(GpuKernelConfig::paper_best(GpuHash::Sha3))),
-        ];
-        let dispatcher = Arc::new(Dispatcher::new(
-            pool,
-            DispatcherConfig { queue_limit: 4, budget, policy: RoutePolicy::LeastLoaded },
-        ));
-        let svc = AuthService::new(ca, dispatcher);
-        std::thread::scope(|s| {
-            for (i, client) in clients.iter().enumerate() {
-                let svc = &svc;
-                s.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(0xA0_0000 + i as u64);
-                    let challenge = svc.begin(&client.hello()).expect("enrolled");
-                    let digest = client.respond(&challenge, &mut rng);
-                    let _ = svc.complete(&digest);
-                });
-            }
-        });
-        rows.push(ServiceRow::from_stats(load, &svc.stats()));
-
-        if opts.metrics_dump && load == *loads.last().expect("nonempty loads") {
-            let stats = svc.stats();
-            let snap = svc.registry().snapshot();
-            println!("\n== service --metrics-dump: whole-pipeline Prometheus snapshot ==");
-            print!("{}", rbc_telemetry::render_prometheus(&snap));
-            let ok = snap.counter("rbc_service_accepted_total").unwrap_or(0);
-            let rej = snap.counter("rbc_service_rejected_total").unwrap_or(0);
-            let t_o = snap.counter("rbc_service_timeout_total").unwrap_or(0);
-            let shed = snap.counter("rbc_service_shed_total").unwrap_or(0);
-            let errs = snap.counter("rbc_service_error_total").unwrap_or(0);
-            let issued = snap.counter("rbc_service_requests_total").unwrap_or(0);
-            println!(
-                "outcome ledger: ok {ok} + rejected {rej} + timeout {t_o} + shed {shed} + \
-                 errors {errs} = {} vs {issued} requests issued",
-                ok + rej + t_o + shed + errs
-            );
-            assert_eq!(
-                ok + rej + t_o + shed + errs,
-                issued,
-                "service outcome counters must sum to requests issued: {stats:?}"
-            );
-        }
-    }
-    service_table(&rows).print();
-    match write_service_json("BENCH_service.json", &rows) {
-        Ok(()) => println!("wrote BENCH_service.json"),
-        Err(e) => eprintln!("could not write BENCH_service.json: {e}"),
-    }
-    println!(
-        "(pool: 2x CPU + GPU-sim, 1 slot each, queue limit 4; budget = T − comm = {:.2} s; \
-         arrivals beyond queue + slots are shed as Overloaded)",
-        budget.as_secs_f64()
-    );
-}
-
 /// Per-phase latency breakdown of the instrumented auth pipeline, one
 /// single-substrate service per backend kind: every authentication flows
 /// hello → prepare → dispatch queue → search → keygen → verdict with the
@@ -967,7 +855,7 @@ fn service(opts: &Opts) {
 /// per substrate. Writes `BENCH_telemetry.json`; with `--smoke`, runs at
 /// reduced scale and validates the artifact (the CI gate).
 fn telemetry(opts: &Opts) {
-    use rbc_bench::{telemetry_table, validate_telemetry_json, write_telemetry_json, TelemetryRow};
+    use rbc_bench::{telemetry_artifact, telemetry_table, TelemetryRow};
     use rbc_core::engine::EngineTelemetry;
     use rbc_core::ProfiledBackend;
     use rbc_telemetry::Registry;
@@ -1036,13 +924,7 @@ fn telemetry(opts: &Opts) {
         }
     }
     telemetry_table(&rows).print();
-    write_and_gate(
-        opts,
-        "BENCH_telemetry.json",
-        |path| write_telemetry_json(path, &rows),
-        validate_telemetry_json,
-        "all phases, 2 substrates",
-    );
+    write_and_gate(opts, &telemetry_artifact(&rows));
 }
 
 /// `repro triage`: tail-latency post-mortems from a live service. A
@@ -1056,7 +938,7 @@ fn telemetry(opts: &Opts) {
 /// `BENCH_triage.json`; with `--smoke`, validates it (the CI gate:
 /// every trace stitches hello → auth_total with monotone phases).
 fn triage(opts: &Opts) {
-    use rbc_bench::{triage_table, validate_triage_json, write_triage_json, TriageRow};
+    use rbc_bench::{triage_artifact, triage_table, TriageRow};
     use rbc_core::backend::BackendDescriptor;
     use rbc_core::engine::{EngineTelemetry, SearchReport};
     use rbc_core::ProfiledBackend;
@@ -1254,7 +1136,8 @@ fn triage(opts: &Opts) {
         net.frames_dropped.get(),
         net.retransmits.get(),
     );
-    match flight.dump_frozen() {
+    let dump = flight.dump_frozen();
+    match &dump {
         Some(dump) => {
             println!(
                 "flight recorder froze on trace {:#x} (deadline breach); post-mortem:\n{dump}",
@@ -1263,32 +1146,7 @@ fn triage(opts: &Opts) {
         }
         None => println!("flight recorder never froze (no deadline breach induced)"),
     }
-
-    write_and_gate(
-        opts,
-        "BENCH_triage.json",
-        |path| write_triage_json(path, &rows, flight.frozen_trace()),
-        validate_triage_json,
-        "every trace stitches hello → auth_total with monotone phases",
-    );
-    if opts.smoke {
-        if !rows.iter().any(|r| r.verdict == "timed_out") {
-            eprintln!("smoke: no timed-out request among the slowest-K — no breach was induced");
-            std::process::exit(1);
-        }
-        let Some(dump) = flight.dump_frozen() else {
-            eprintln!("smoke: the flight recorder never froze on the induced breach");
-            std::process::exit(1);
-        };
-        if !(dump.contains("\"hello\"") && dump.contains("\"auth_total\"")) {
-            eprintln!("smoke: frozen dump is missing the pinned trace's span chain: {dump}");
-            std::process::exit(1);
-        }
-        println!(
-            "smoke: BENCH_triage.json validates (every trace stitches, phases monotone) \
-             and the frozen post-mortem is complete"
-        );
-    }
+    write_and_gate(opts, &triage_artifact(&rows, flight.frozen_trace(), dump.as_deref()));
 }
 
 /// `repro chaos`: deterministic fault-injection scenarios against the
@@ -1300,7 +1158,7 @@ fn triage(opts: &Opts) {
 /// budget. Writes `BENCH_chaos.json`; with `--smoke`, validates the
 /// ≥ 95% recovery bar (the CI gate).
 fn chaos(opts: &Opts) {
-    use rbc_bench::{chaos_table, validate_chaos_json, write_chaos_json, ChaosRow};
+    use rbc_bench::{chaos_artifact, chaos_table, ChaosRow};
     use rbc_core::{Fault, FaultPlan, SupervisedPool, SupervisedPoolConfig};
 
     println!("\n== chaos: fault injection against the supervised pool (4x CPU, this host) ==");
@@ -1390,27 +1248,14 @@ fn chaos(opts: &Opts) {
         "(scenarios: baseline; backend 1 crashes at 50% shard progress and stays down; \
          additionally backend 2 stalls 400 ms per shard — recovery must stay within T = 20 s)"
     );
-    write_and_gate(
-        opts,
-        "BENCH_chaos.json",
-        |path| write_chaos_json(path, &rows),
-        validate_chaos_json,
-        "baseline clean, faulted scenarios ≥ 95% recovery",
-    );
-    if opts.smoke {
-        let faulted = rows.iter().filter(|r| r.faults > 0).count();
-        if faulted < 2 {
-            eprintln!("smoke: expected both fault scenarios to actually inject ({faulted}/2 did)");
-            std::process::exit(1);
-        }
-    }
+    write_and_gate(opts, &chaos_artifact(&rows));
 }
 
 /// Deterministic simulation sweep: seeded fault × load × timing
 /// interleavings of the full auth stack on a virtual clock. See
 /// `rbc_bench::sim` for the scenario derivation and invariants.
 fn sim(opts: &Opts) {
-    use rbc_bench::sim::{run_sweep, sim_table, validate_sim_json, write_sim_json, SweepConfig};
+    use rbc_bench::sim::{run_sweep, sim_table, SweepConfig};
 
     println!("\n== sim: seeded fault × load × timing interleavings (virtual time) ==");
     let scenarios: u64 = if opts.quick { 100 } else { 1000 };
@@ -1433,17 +1278,7 @@ fn sim(opts: &Opts) {
     for v in &sweep.violation_samples {
         eprintln!("violation: {v}");
     }
-    write_and_gate(
-        opts,
-        "BENCH_sim.json",
-        |path| write_sim_json(path, &sweep, wall_secs),
-        validate_sim_json,
-        "≥1000 scenarios, ≥100 sim-s each, 0 divergences, 0 violations, generous recovery ≥ 95%",
-    );
-    if opts.smoke && wall_secs >= 60.0 {
-        eprintln!("smoke: sweep took {wall_secs:.1} s wall, budget is 60 s");
-        std::process::exit(1);
-    }
+    write_and_gate(opts, &sweep.artifact(wall_secs));
 }
 
 /// Continuous observability: seeded multi-client load against the real
@@ -1454,9 +1289,7 @@ fn sim(opts: &Opts) {
 /// digests, and writes `BENCH_monitor.json` (`--smoke` validates the
 /// artifact and exits nonzero — the CI gate).
 fn monitor(opts: &Opts) {
-    use rbc_bench::monitor::{
-        render_dashboard, run_monitor, validate_monitor_json, write_monitor_json, MonitorConfig,
-    };
+    use rbc_bench::monitor::{render_dashboard, run_monitor, MonitorConfig};
     use std::io::IsTerminal;
 
     println!("\n== monitor: continuous observability under staged overload (virtual time) ==");
@@ -1477,13 +1310,7 @@ fn monitor(opts: &Opts) {
     for v in &outcome.violations {
         eprintln!("violation: {v}");
     }
-    write_and_gate(
-        opts,
-        "BENCH_monitor.json",
-        |path| write_monitor_json(path, &outcome, 1, divergences, wall_secs),
-        validate_monitor_json,
-        "replay digest identical, page + clear alerts, flight recorder froze, series populated",
-    );
+    write_and_gate(opts, &outcome.artifact(Replay { replayed: 1, divergences, wall_secs }));
 }
 
 /// Workload attribution: seeded honest mix plus a staged
@@ -1495,9 +1322,7 @@ fn monitor(opts: &Opts) {
 /// for bit-identical digests and writes `BENCH_attrib.json` (`--smoke`
 /// validates the artifact and exits nonzero — the CI gate).
 fn attrib(opts: &Opts) {
-    use rbc_bench::attrib::{
-        render_attrib, run_attrib, validate_attrib_json, write_attrib_json, AttribConfig,
-    };
+    use rbc_bench::attrib::{render_attrib, run_attrib, AttribConfig};
     use std::io::IsTerminal;
 
     println!("\n== attrib: per-request cost accounting under a staged flood (virtual time) ==");
@@ -1518,7 +1343,7 @@ fn attrib(opts: &Opts) {
     for v in &outcome.violations {
         eprintln!("violation: {v}");
     }
-    write_and_gate(opts, "BENCH_attrib.json", |path| write_attrib_json(path, &outcome, 1, divergences, wall_secs), validate_attrib_json, "replay digest identical, flood isolated in the top-K, exhaustion page + clear, flight recorder froze on the attacker");
+    write_and_gate(opts, &outcome.artifact(Replay { replayed: 1, divergences, wall_secs }));
 }
 
 /// Adversarial admission control: the honest population from `attrib`
@@ -1531,10 +1356,7 @@ fn attrib(opts: &Opts) {
 /// digests and writes `BENCH_adversarial.json` (`--smoke` validates
 /// the artifact and exits nonzero — the CI gate).
 fn adversarial(opts: &Opts) {
-    use rbc_bench::adversarial::{
-        render_adversarial, run_adversarial, validate_adversarial_json, write_adversarial_json,
-        AdversarialConfig,
-    };
+    use rbc_bench::adversarial::{render_adversarial, run_adversarial, AdversarialConfig};
     use std::io::IsTerminal;
 
     println!("\n== adversarial: admission control under an exhaustion flood (virtual time) ==");
@@ -1555,19 +1377,15 @@ fn adversarial(opts: &Opts) {
     for v in &outcome.violations {
         eprintln!("violation: {v}");
     }
-    write_and_gate(opts, "BENCH_adversarial.json", |path| write_adversarial_json(path, &outcome, 1, divergences, wall_secs), validate_adversarial_json, "replay digest identical, honest p99 within 2x and acceptance >= 99% under the flood, every enforcement mechanism engaged, brownout recovered");
+    write_and_gate(opts, &outcome.artifact(Replay { replayed: 1, divergences, wall_secs }));
 }
 
-/// Writes an artifact to `path` with `write`; under `--smoke`, reads it
-/// back and gates it with `validate`, exiting nonzero on any failure.
-fn write_and_gate(
-    opts: &Opts,
-    path: &str,
-    write: impl FnOnce(&str) -> std::io::Result<()>,
-    validate: fn(&str) -> Result<(), String>,
-    checks: &str,
-) {
-    match write(path) {
+/// Writes `artifact` to its `BENCH_<bench>.json`; under `--smoke`, reads
+/// the file back and checks every metric's bound, exiting nonzero on any
+/// failure.
+fn write_and_gate(opts: &Opts, artifact: &Artifact) {
+    let path = artifact.file_name();
+    match artifact.write() {
         Ok(()) => println!("wrote {path}"),
         Err(e) => {
             eprintln!("could not write {path}: {e}");
@@ -1579,11 +1397,11 @@ fn write_and_gate(
     if !opts.smoke {
         return;
     }
-    let gated = std::fs::read_to_string(path)
+    let gated = std::fs::read_to_string(&path)
         .map_err(|e| format!("could not read back {path}: {e}"))
-        .and_then(|text| validate(&text).map_err(|e| format!("{path} invalid: {e}")));
+        .and_then(|text| artifact.gate(&text).map_err(|e| format!("{path} invalid: {e}")));
     match gated {
-        Ok(()) => println!("smoke: {path} validates ({checks})"),
+        Ok(()) => println!("smoke: {path} validates ({} bounded metrics hold)", artifact.bounded()),
         Err(e) => {
             eprintln!("smoke: {e}");
             std::process::exit(1);
@@ -1599,13 +1417,19 @@ fn write_and_gate(
 /// `BASELINE.json` from the current artifacts instead of comparing.
 fn regress(opts: &Opts) {
     use rbc_bench::baseline::{
-        build_baseline, compare, parse_baseline_json, render_baseline_json, ArtifactSet,
+        build_baseline, compare, parse_baseline_json, read_artifacts, render_baseline_json,
     };
 
     println!("\n== regress: BENCH artifacts vs committed BASELINE.json ==");
-    let set = ArtifactSet::read_from(".");
+    let artifacts = match read_artifacts(".") {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("regress: {e}");
+            std::process::exit(1);
+        }
+    };
     if opts.update {
-        let base = match build_baseline(&set) {
+        let base = match build_baseline(&artifacts) {
             Ok(b) => b,
             Err(e) => {
                 eprintln!("regress: {e}");
@@ -1637,7 +1461,7 @@ fn regress(opts: &Opts) {
             std::process::exit(1);
         }
     };
-    let report = match compare(&base, &set) {
+    let report = match compare(&base, &artifacts) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("regress: {e}");

@@ -12,20 +12,26 @@
 #![warn(missing_docs)]
 
 pub mod adversarial;
+mod artifact;
 pub mod attrib;
 pub mod baseline;
 pub mod monitor;
 pub mod sim;
 mod world;
 
-pub use world::FloodSchedule;
+pub use artifact::Artifact;
+pub use world::{FloodSchedule, Replay};
 
 use std::time::Instant;
 
 use rbc_bits::U256;
 use rbc_comb::{Alg515Stream, ChaseStream, GosperStream, MaskStream, SeedIterKind};
 use rbc_core::derive::Derive;
-use rbc_hash::{lanes, sha1::sha1_fixed32, sha3::sha3_256_fixed32};
+use serde_json::Value as Json;
+
+use artifact::{detail, ident, object};
+use baseline::Worse;
+use rbc_hash::{sha1::sha1_fixed32, sha3::sha3_256_fixed32};
 
 /// A plain-text table with aligned columns, in the style of the paper's.
 pub struct TextTable {
@@ -197,8 +203,8 @@ pub struct LaneMeasurement {
     pub hash: String,
     /// Code path ("scalar", "x8", "prefix64 x16", "dispatch", ...).
     pub path: String,
-    /// Kernel tier providing the path: "scalar", "portable", "avx2",
-    /// "avx512", or the active tier's name for "dispatch" rows.
+    /// Kernel tier providing the path: "scalar", "avx2", "avx512", or
+    /// the active tier's name for "dispatch" rows.
     pub kernel: String,
     /// Seeds hashed per kernel call (1 for scalar; for dispatch rows,
     /// the widest kernel that entry point drains through).
@@ -231,10 +237,9 @@ fn lane_rate(count: u64, per_call: u64, mut f: impl FnMut()) -> f64 {
 /// `benches/batch_lanes.rs` / `repro hash-lanes` table. `count` is the
 /// approximate number of hashes per measurement.
 ///
-/// Rows cover the scalar baseline, every portable interleaved kernel
-/// (including the SHA-3 x2 counterexample that dispatch excludes), the
-/// AVX2 / AVX-512 `std::arch` kernels when the CPU has them, and the
-/// runtime dispatcher's own batch entry points.
+/// Rows cover the scalar baseline, the AVX2 / AVX-512 `std::arch`
+/// kernels when the CPU has them, and the runtime dispatcher's own batch
+/// entry points.
 pub fn measure_hash_lane_rates(count: u64) -> Vec<LaneMeasurement> {
     use rbc_hash::dispatch::{self, SimdLevel};
 
@@ -281,35 +286,20 @@ pub fn measure_hash_lane_rates(count: u64) -> Vec<LaneMeasurement> {
         };
     }
 
-    // SHA-1: scalar baseline, then every tier the host can run.
+    // Scalar baselines, then every explicit SIMD tier the host can run.
     let s1 = lane_rate(count, n, || {
         for s in &seeds {
             std::hint::black_box(sha1_fixed32(std::hint::black_box(s)));
         }
     });
     push!("SHA-1", "scalar", "scalar", 1, false, s1, s1);
-    let port = SimdLevel::Portable;
-    let r = chunk_rate!(4, lanes::sha1_fixed32_x4);
-    push!("SHA-1", "x4", "portable", 4, selected("SHA-1", 4, port), r, s1);
-    let r = chunk_rate!(8, lanes::sha1_fixed32_x8);
-    push!("SHA-1", "x8", "portable", 8, selected("SHA-1", 8, port), r, s1);
-    let r = chunk_rate!(8, lanes::sha1_fixed32_prefix64_x8);
-    push!("SHA-1", "prefix64 x8", "portable", 8, selected("SHA-1", 8, port), r, s1);
 
-    // SHA-3: scalar, then the portable lanes including the x2 pair that
-    // measured *slower* than scalar and is excluded from every plan.
     let s3 = lane_rate(count, n, || {
         for s in &seeds {
             std::hint::black_box(sha3_256_fixed32(std::hint::black_box(s)));
         }
     });
     push!("SHA-3", "scalar", "scalar", 1, false, s3, s3);
-    let r = chunk_rate!(2, lanes::sha3_256_fixed32_x2);
-    push!("SHA-3", "x2", "portable", 2, false, r, s3);
-    let r = chunk_rate!(4, lanes::sha3_256_fixed32_x4);
-    push!("SHA-3", "x4", "portable", 4, selected("SHA-3", 4, port), r, s3);
-    let r = chunk_rate!(4, lanes::sha3_256_fixed32_prefix64_x4);
-    push!("SHA-3", "prefix64 x4", "portable", 4, selected("SHA-3", 4, port), r, s3);
 
     #[cfg(target_arch = "x86_64")]
     {
@@ -551,288 +541,69 @@ pub fn adaptive_table(rows: &[AdaptiveMeasurement]) -> TextTable {
     t
 }
 
-/// Writes lane + adaptive measurements to `path` as the
-/// `BENCH_hash_lanes.json` artifact:
-/// `{"bench": "hash_lanes", "unit": "hashes/sec", "cpu": {features,
-/// detected, active, kernel_plan}, "results": [...], "adaptive": [...]}`.
-pub fn write_hash_lane_json(
-    path: &str,
-    rows: &[LaneMeasurement],
-    adaptive: &[AdaptiveMeasurement],
-) -> std::io::Result<()> {
+/// The `BENCH_hash_lanes.json` artifact, at the active SIMD tier.
+/// Metrics, by `hash.<hash>.<path>.` prefix for each dispatcher-selected
+/// row: `rate` (baselined, 50% lower) and `speedup` over scalar (at
+/// least 1, or 0.9 for width-1 rows: dispatch overhead on the same
+/// scalar kernel); then `hash.selected_rows` ≥ 1, the best selected
+/// SHA-1 speedup against the tier's bar (6x AVX-512, 4x AVX2, 1x
+/// otherwise), `hash.adaptive.low_d_seed_gain` ≥ 1.05, and per adaptive
+/// row a flag that it lost over 20% wall time with no seed saving (wall
+/// time at low d is µs-scale noise; the seed count is deterministic).
+/// `detail` holds the CPU features, kernel plan and every row.
+pub fn hash_lanes_artifact(rows: &[LaneMeasurement], adaptive: &[AdaptiveMeasurement]) -> Artifact {
     use rbc_hash::dispatch;
-    let err = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
-    let results = serde_json::to_value(&rows.to_vec()).map_err(|e| err(e.to_string()))?;
-    let adaptive = serde_json::to_value(&adaptive.to_vec()).map_err(|e| err(e.to_string()))?;
-    let strs = |v: Vec<&str>| {
-        serde_json::Value::Array(v.into_iter().map(|s| serde_json::Value::Str(s.into())).collect())
-    };
-    let plan = serde_json::Value::Array(
-        dispatch::kernel_plan()
-            .iter()
-            .map(|s| {
-                serde_json::Value::Object(vec![
-                    ("algo".to_string(), serde_json::Value::Str(s.algo.to_string())),
-                    ("width".to_string(), serde_json::Value::UInt(s.width as u64)),
-                    ("kernel".to_string(), serde_json::Value::Str(s.kernel.name().to_string())),
-                ])
-            })
-            .collect(),
+    #[derive(serde::Serialize)]
+    struct Plan {
+        algo: &'static str,
+        width: usize,
+        kernel: &'static str,
+    }
+    let active = dispatch::active_level().name();
+    let plan: Vec<Plan> = dispatch::kernel_plan()
+        .iter()
+        .map(|s| Plan { algo: s.algo, width: s.width, kernel: s.kernel.name() })
+        .collect();
+    let cpu = object(vec![
+        ("features", detail(&dispatch::cpu_features())),
+        ("detected", Json::Str(dispatch::detected_level().name().to_string())),
+        ("kernel_plan", detail(&plan)),
+    ]);
+    let mut a = Artifact::new(
+        "hash_lanes",
+        object(vec![
+            ("unit", Json::Str("hashes/sec".to_string())),
+            ("cpu", cpu),
+            ("results", detail(rows)),
+            ("adaptive", detail(adaptive)),
+        ]),
     );
-    let cpu = serde_json::Value::Object(vec![
-        ("features".to_string(), strs(dispatch::cpu_features())),
-        ("detected".to_string(), serde_json::Value::Str(dispatch::detected_level().name().into())),
-        ("active".to_string(), serde_json::Value::Str(dispatch::active_level().name().into())),
-        ("kernel_plan".to_string(), plan),
-    ]);
-    let doc = serde_json::Value::Object(vec![
-        ("bench".to_string(), serde_json::Value::Str("hash_lanes".to_string())),
-        ("unit".to_string(), serde_json::Value::Str("hashes/sec".to_string())),
-        ("cpu".to_string(), cpu),
-        ("results".to_string(), results),
-        ("adaptive".to_string(), adaptive),
-    ]);
-    let text = serde_json::to_string(&doc).map_err(|e| err(e.to_string()))?;
-    std::fs::write(path, text)
-}
-
-/// Validates a `BENCH_hash_lanes.json` document — the
-/// `repro hash-lanes --smoke` CI gate. Requires the envelope and CPU
-/// metadata; every dispatcher-selected row at least as fast as scalar;
-/// when a SIMD tier is active, the best selected SHA-1 width clearing the
-/// issue's headline bar (≥6x scalar on AVX-512, ≥4x on AVX2); and the
-/// adaptive policy beating the fixed batch on derived seeds at the lowest
-/// planted distance without losing wall time anywhere.
-pub fn validate_hash_lanes_json(text: &str) -> Result<(), String> {
-    let doc: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| format!("not JSON: {e}"))?;
-    let bench = doc.field("bench").ok().and_then(serde_json::Value::as_str);
-    if bench != Some("hash_lanes") {
-        return Err(format!("bench field is {bench:?}, expected \"hash_lanes\""));
+    a.tier = Some(active.to_string());
+    let selected: Vec<&LaneMeasurement> = rows.iter().filter(|r| r.selected).collect();
+    for r in &selected {
+        let id = format!("hash.{}.{}", ident(&r.hash), ident(&r.path));
+        a.metric(format!("{id}.rate"), r.rate).baseline(0.5, Worse::Lower);
+        a.metric(format!("{id}.speedup"), r.speedup).at_least(if r.width <= 1 { 0.9 } else { 1.0 });
     }
-    let cpu = doc.field("cpu").map_err(|_| "missing cpu metadata".to_string())?;
-    let active = cpu
-        .field("active")
-        .ok()
-        .and_then(serde_json::Value::as_str)
-        .ok_or("cpu.active missing")?
-        .to_string();
-    cpu.field("kernel_plan")
-        .ok()
-        .and_then(serde_json::Value::as_array)
-        .ok_or("cpu.kernel_plan missing")?;
-    let results = doc
-        .field("results")
-        .ok()
-        .and_then(serde_json::Value::as_array)
-        .ok_or("missing results array")?;
-    let mut best_sha1 = 0.0f64;
-    let mut saw_selected = false;
-    for (i, row) in results.iter().enumerate() {
-        let get_str = |f: &str| {
-            row.field(f)
-                .ok()
-                .and_then(serde_json::Value::as_str)
-                .ok_or(format!("row {i}: missing field {f}"))
-                .map(str::to_string)
-        };
-        let hash = get_str("hash")?;
-        let path = get_str("path")?;
-        let speedup = row
-            .field("speedup")
-            .ok()
-            .and_then(serde_json::Value::as_f64)
-            .ok_or(format!("row {i} ({hash} {path}): missing speedup"))?;
-        let selected = row
-            .field("selected")
-            .ok()
-            .and_then(serde_json::Value::as_bool)
-            .ok_or(format!("row {i} ({hash} {path}): missing selected"))?;
-        let width = row
-            .field("width")
-            .ok()
-            .and_then(serde_json::Value::as_u64)
-            .ok_or(format!("row {i} ({hash} {path}): missing width"))?;
-        if !speedup.is_finite() || speedup <= 0.0 {
-            return Err(format!("row {i} ({hash} {path}): speedup {speedup} not positive"));
-        }
-        if selected {
-            saw_selected = true;
-            // Width-1 "selected" rows are the dispatch entry points on the
-            // scalar-only portable tier: dispatch overhead on top of the
-            // same scalar kernel, so tolerate measurement noise around 1.0.
-            let floor = if width <= 1 { 0.9 } else { 1.0 };
-            if speedup < floor {
-                return Err(format!(
-                    "row {i} ({hash} {path}): dispatcher-selected but {speedup:.2}x < scalar"
-                ));
-            }
-            if hash == "SHA-1" {
-                best_sha1 = best_sha1.max(speedup);
-            }
-        }
-    }
-    if !saw_selected {
-        return Err("no dispatcher-selected rows".to_string());
-    }
-    let sha1_bar = match active.as_str() {
+    a.metric("hash.selected_rows", selected.len()).at_least(1.0);
+    let best_sha1 =
+        selected.iter().filter(|r| r.hash == "SHA-1").map(|r| r.speedup).fold(0.0, f64::max);
+    let sha1_bar = match active {
         "avx512" => 6.0,
         "avx2" => 4.0,
         _ => 1.0,
     };
-    if best_sha1 < sha1_bar {
-        return Err(format!(
-            "best selected SHA-1 speedup {best_sha1:.2}x under the {sha1_bar:.1}x bar for {active}"
-        ));
+    a.metric("hash.sha_1.best_selected_speedup", best_sha1).at_least(sha1_bar);
+    let low_d_gain = adaptive.iter().filter(|r| r.d <= 1).map(|r| r.seed_gain).fold(0.0, f64::max);
+    a.metric("hash.adaptive.low_d_seed_gain", low_d_gain).at_least(1.05);
+    for r in adaptive {
+        a.metric(
+            format!("hash.adaptive.d{}.slower_without_seed_saving", r.d),
+            r.time_gain < 0.80 && r.seed_gain < 1.05,
+        )
+        .exactly(0.0);
     }
-    let adaptive = doc
-        .field("adaptive")
-        .ok()
-        .and_then(serde_json::Value::as_array)
-        .ok_or("missing adaptive array")?;
-    if adaptive.is_empty() {
-        return Err("no adaptive rows".to_string());
-    }
-    let mut low_d_gain = 0.0f64;
-    for (i, row) in adaptive.iter().enumerate() {
-        let get = |f: &str| {
-            row.field(f)
-                .ok()
-                .and_then(serde_json::Value::as_f64)
-                .ok_or(format!("adaptive row {i}: missing field {f}"))
-        };
-        let d = get("d")?;
-        let seed_gain = get("seed_gain")?;
-        let time_gain = get("time_gain")?;
-        // Wall time at low d is µs-scale and noisy on a loaded host; the
-        // derived-seed count is deterministic. A row only fails if it is
-        // both well under the wall-time floor and shows no seed savings.
-        if time_gain < 0.80 && seed_gain < 1.05 {
-            return Err(format!(
-                "adaptive row {i} (d={d}): {:.0}% slower than fixed batch with no seed savings",
-                (1.0 / time_gain - 1.0) * 100.0
-            ));
-        }
-        if d <= 1.5 {
-            low_d_gain = low_d_gain.max(seed_gain);
-        }
-    }
-    if low_d_gain < 1.05 {
-        return Err(format!(
-            "adaptive policy saves only {low_d_gain:.2}x seeds at low d (need ≥1.05x)"
-        ));
-    }
-    Ok(())
-}
-
-/// One row of the `repro service` offered-load sweep: the multi-client
-/// AuthService driven at a fixed number of simultaneous clients.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct ServiceRow {
-    /// Simultaneous clients offered.
-    pub clients: u64,
-    /// Accepted authentications.
-    pub accepted: u64,
-    /// Rejected (no seed within the bound).
-    pub rejected: u64,
-    /// Timed out mid-search.
-    pub timed_out: u64,
-    /// Shed by the dispatcher ([`Verdict::Overloaded`]).
-    ///
-    /// [`Verdict::Overloaded`]: rbc_core::protocol::Verdict::Overloaded
-    pub overloaded: u64,
-    /// Fraction of offered requests shed.
-    pub reject_rate: f64,
-    /// Median end-to-end latency (queue + search), milliseconds.
-    pub p50_ms: f64,
-    /// 95th-percentile latency, milliseconds.
-    pub p95_ms: f64,
-    /// 99th-percentile latency, milliseconds.
-    pub p99_ms: f64,
-    /// Mean queue wait, milliseconds.
-    pub mean_queue_ms: f64,
-    /// Highest simultaneous queue depth observed.
-    pub peak_queue: u64,
-    /// Per-backend utilization summary, `name=busy%` comma-joined.
-    pub utilization: String,
-}
-
-impl ServiceRow {
-    /// Builds a row from a load level and the service's statistics.
-    pub fn from_stats(clients: u64, stats: &rbc_core::service::ServiceStats) -> Self {
-        let d = &stats.dispatch;
-        let offered = (d.completed + d.rejected).max(1);
-        ServiceRow {
-            clients,
-            accepted: stats.accepted,
-            rejected: stats.rejected,
-            timed_out: stats.timed_out,
-            overloaded: stats.overloaded,
-            reject_rate: d.rejected as f64 / offered as f64,
-            p50_ms: d.p50_latency.as_secs_f64() * 1e3,
-            p95_ms: d.p95_latency.as_secs_f64() * 1e3,
-            p99_ms: d.p99_latency.as_secs_f64() * 1e3,
-            mean_queue_ms: d.mean_queue_wait.as_secs_f64() * 1e3,
-            peak_queue: d.peak_queue_depth as u64,
-            utilization: d
-                .per_backend
-                .iter()
-                .map(|b| format!("{}={:.0}%", b.descriptor.name, b.utilization * 100.0))
-                .collect::<Vec<_>>()
-                .join(", "),
-        }
-    }
-}
-
-/// Renders the service sweep as a [`TextTable`].
-pub fn service_table(rows: &[ServiceRow]) -> TextTable {
-    let mut t = TextTable::new(
-        "Service: multi-client AuthService under offered load (dispatcher pool, this host)",
-        &[
-            "clients",
-            "ok",
-            "rej",
-            "t/o",
-            "shed",
-            "shed rate",
-            "p50",
-            "p95",
-            "p99",
-            "queue",
-            "backend util",
-        ],
-    );
-    for r in rows {
-        t.row(&[
-            r.clients.to_string(),
-            r.accepted.to_string(),
-            r.rejected.to_string(),
-            r.timed_out.to_string(),
-            r.overloaded.to_string(),
-            format!("{:.0}%", r.reject_rate * 100.0),
-            fmt_secs(r.p50_ms / 1e3),
-            fmt_secs(r.p95_ms / 1e3),
-            fmt_secs(r.p99_ms / 1e3),
-            fmt_secs(r.mean_queue_ms / 1e3),
-            r.utilization.clone(),
-        ]);
-    }
-    t
-}
-
-/// Writes the service sweep to `path` as the `BENCH_service.json`
-/// artifact: `{"bench": "service", "unit": "ms", "results": [...]}`.
-pub fn write_service_json(path: &str, rows: &[ServiceRow]) -> std::io::Result<()> {
-    let results = serde_json::to_value(&rows.to_vec())
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let doc = serde_json::Value::Object(vec![
-        ("bench".to_string(), serde_json::Value::Str("service".to_string())),
-        ("unit".to_string(), serde_json::Value::Str("ms".to_string())),
-        ("results".to_string(), results),
-    ]);
-    let text = serde_json::to_string(&doc)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(path, text)
+    a
 }
 
 /// One row of the `repro telemetry` per-phase latency breakdown: a
@@ -931,83 +702,39 @@ pub fn telemetry_table(rows: &[TelemetryRow]) -> TextTable {
     t
 }
 
-/// Writes the per-phase breakdown to `path` as the `BENCH_telemetry.json`
-/// artifact: `{"bench": "telemetry", "unit": "ms", "results": [...]}`.
-pub fn write_telemetry_json(path: &str, rows: &[TelemetryRow]) -> std::io::Result<()> {
-    let results = serde_json::to_value(&rows.to_vec())
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let doc = serde_json::Value::Object(vec![
-        ("bench".to_string(), serde_json::Value::Str("telemetry".to_string())),
-        ("unit".to_string(), serde_json::Value::Str("ms".to_string())),
-        ("results".to_string(), results),
-    ]);
-    let text = serde_json::to_string(&doc)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(path, text)
-}
-
-/// Validates a `BENCH_telemetry.json` document: parses, checks the
-/// envelope, and requires every phase column on at least two distinct
-/// substrates — the `repro telemetry --smoke` CI gate. On the `cpu` row
-/// the CA's fixed per-request cost must stay below the keygen it guards:
-/// `hello_ms + prepare_ms < keygen_ms`. Both sides come from the same
-/// run, so host speed cancels out of the ratio.
-pub fn validate_telemetry_json(text: &str) -> Result<(), String> {
-    let doc: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| format!("not JSON: {e}"))?;
-    let bench = doc.field("bench").ok().and_then(serde_json::Value::as_str);
-    if bench != Some("telemetry") {
-        return Err(format!("bench field is {bench:?}, expected \"telemetry\""));
-    }
-    let results = doc
-        .field("results")
-        .ok()
-        .and_then(serde_json::Value::as_array)
-        .ok_or("missing results array")?;
-    let mut substrates = Vec::new();
-    for (i, row) in results.iter().enumerate() {
-        let substrate = row
-            .field("substrate")
-            .ok()
-            .and_then(serde_json::Value::as_str)
-            .ok_or(format!("row {i}: missing substrate"))?;
-        let auths = row
-            .field("auths")
-            .ok()
-            .and_then(serde_json::Value::as_u64)
-            .ok_or(format!("row {i}: missing auths"))?;
-        if auths == 0 {
-            return Err(format!("row {i} ({substrate}): zero authentications recorded"));
+/// The `BENCH_telemetry.json` artifact. Per substrate `<s>`:
+/// `telemetry.<s>.auths` ≥ 1 and every phase column (`hello_ms`, ...,
+/// from [`TelemetryRow::PHASES`]) ≥ 0; `telemetry.substrates` ≥ 2; and on
+/// the `cpu` row the CA's fixed per-request cost over the keygen it
+/// guards, `(hello_ms + prepare_ms) / keygen_ms`, at most 1. Both sides
+/// come from the same run, so host speed cancels out of the ratio.
+pub fn telemetry_artifact(rows: &[TelemetryRow]) -> Artifact {
+    let mut a = Artifact::new(
+        "telemetry",
+        object(vec![("unit", Json::Str("ms".to_string())), ("results", detail(rows))]),
+    );
+    let mut substrates: Vec<&str> = Vec::new();
+    for r in rows {
+        let id = format!("telemetry.{}", ident(&r.substrate));
+        a.metric(format!("{id}.auths"), r.auths).at_least(1.0);
+        let phases =
+            [r.hello_ms, r.prepare_ms, r.queue_wait_ms, r.search_ms, r.keygen_ms, r.total_ms];
+        for ((field, _), ms) in TelemetryRow::PHASES.into_iter().zip(phases) {
+            a.metric(format!("{id}.{field}"), ms).at_least(0.0);
         }
-        let mut phase_ms = [0.0; TelemetryRow::PHASES.len()];
-        for ((field, metric), slot) in TelemetryRow::PHASES.into_iter().zip(&mut phase_ms) {
-            let v = row.field(field).ok().and_then(serde_json::Value::as_f64);
-            match v {
-                Some(ms) if ms.is_finite() && ms >= 0.0 => *slot = ms,
-                other => {
-                    return Err(format!(
-                        "row {i} ({substrate}): phase {field} (from {metric}) is {other:?}"
-                    ))
-                }
-            }
+        if r.substrate == "cpu" {
+            a.metric(
+                format!("{id}.ca_fixed_over_keygen"),
+                (r.hello_ms + r.prepare_ms) / r.keygen_ms,
+            )
+            .at_most(1.0);
         }
-        // In `PHASES` order.
-        let [hello, prepare, _, _, keygen, _] = phase_ms;
-        if substrate == "cpu" && hello + prepare >= keygen {
-            return Err(format!(
-                "row {i} ({substrate}): hello_ms + prepare_ms = {:.3} ms is not below \
-                 keygen_ms = {keygen:.3} ms",
-                hello + prepare
-            ));
-        }
-        if !substrates.contains(&substrate.to_string()) {
-            substrates.push(substrate.to_string());
+        if !substrates.contains(&r.substrate.as_str()) {
+            substrates.push(&r.substrate);
         }
     }
-    if substrates.len() < 2 {
-        return Err(format!("need at least 2 substrates, found {substrates:?}"));
-    }
-    Ok(())
+    a.metric("telemetry.substrates", substrates.len()).at_least(2.0);
+    a
 }
 
 /// One span of a [`TriageRow`]: a flattened
@@ -1101,114 +828,57 @@ pub fn triage_table(rows: &[TriageRow]) -> TextTable {
     t
 }
 
-/// Writes the triage report to `path` as the `BENCH_triage.json`
-/// artifact: `{"bench": "triage", "unit": "ms", "frozen_trace": …,
-/// "results": [...]}`. `frozen_trace` is the flight recorder's pinned
-/// trace id (`0x…`), or `null` when no anomaly froze it.
-pub fn write_triage_json(
-    path: &str,
+/// The `BENCH_triage.json` artifact. Every row must *stitch*:
+/// `triage.rows` ≥ 1, and exactly 0 rows with an anonymous (zero) trace
+/// id, rows missing their `hello` or `auth_total` span, spans whose
+/// nonzero parent is not in the row's tree, and rows whose present
+/// phases start out of [`TriageRow::PHASE_ORDER`]. The run must also
+/// have induced a deadline breach (`triage.timed_out_rows` ≥ 1) that
+/// froze the flight recorder (`triage.flight_frozen`) with a dump
+/// holding the pinned trace's `hello` and `auth_total` spans
+/// (`triage.frozen_dump_complete`). `detail` holds the rows and the
+/// frozen trace id (`0x…`, or `null`).
+pub fn triage_artifact(
     rows: &[TriageRow],
     frozen_trace: Option<u64>,
-) -> std::io::Result<()> {
-    let results = serde_json::to_value(&rows.to_vec())
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let frozen = match frozen_trace {
-        Some(t) => serde_json::Value::Str(format!("{t:#x}")),
-        None => serde_json::Value::Null,
+    frozen_dump: Option<&str>,
+) -> Artifact {
+    let frozen = frozen_trace.map_or(Json::Null, |t| Json::Str(format!("{t:#x}")));
+    let mut a = Artifact::new(
+        "triage",
+        object(vec![
+            ("unit", Json::Str("ms".to_string())),
+            ("frozen_trace", frozen),
+            ("results", detail(rows)),
+        ]),
+    );
+    let count = |f: &dyn Fn(&TriageRow) -> bool| rows.iter().filter(|r| f(r)).count();
+    let has = |r: &TriageRow, name: &str| r.spans.iter().any(|s| s.name == name);
+    let orphans: usize = rows
+        .iter()
+        .map(|r| {
+            let known = |id: u64| r.spans.iter().any(|s| s.span_id == id);
+            r.spans.iter().filter(|s| s.parent_span != 0 && !known(s.parent_span)).count()
+        })
+        .sum();
+    let monotone = |r: &TriageRow| {
+        let starts = TriageRow::PHASE_ORDER
+            .iter()
+            .filter_map(|p| r.spans.iter().find(|s| s.name == *p).map(|s| s.start_ns));
+        starts.clone().zip(starts.skip(1)).all(|(a, b)| a <= b)
     };
-    let doc = serde_json::Value::Object(vec![
-        ("bench".to_string(), serde_json::Value::Str("triage".to_string())),
-        ("unit".to_string(), serde_json::Value::Str("ms".to_string())),
-        ("frozen_trace".to_string(), frozen),
-        ("results".to_string(), results),
-    ]);
-    let text = serde_json::to_string(&doc)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(path, text)
-}
-
-/// Validates a `BENCH_triage.json` document — the `repro triage --smoke`
-/// CI gate. Every row must *stitch*: a nonzero trace id, `hello` and
-/// `auth_total` spans present, every nonzero parent pointer naming a
-/// span of the same trace (no orphans), and the present phases' start
-/// timestamps monotone in [`TriageRow::PHASE_ORDER`].
-pub fn validate_triage_json(text: &str) -> Result<(), String> {
-    let doc: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| format!("not JSON: {e}"))?;
-    let bench = doc.field("bench").ok().and_then(serde_json::Value::as_str);
-    if bench != Some("triage") {
-        return Err(format!("bench field is {bench:?}, expected \"triage\""));
-    }
-    let results = doc
-        .field("results")
-        .ok()
-        .and_then(serde_json::Value::as_array)
-        .ok_or("missing results array")?;
-    if results.is_empty() {
-        return Err("no triage rows".to_string());
-    }
-    for (i, row) in results.iter().enumerate() {
-        let trace = row
-            .field("trace")
-            .ok()
-            .and_then(serde_json::Value::as_str)
-            .ok_or(format!("row {i}: missing trace"))?;
-        let trace_id = trace
-            .strip_prefix("0x")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or(format!("row {i}: trace {trace:?} is not a 0x… id"))?;
-        if trace_id == 0 {
-            return Err(format!("row {i}: anonymous (zero) trace id"));
-        }
-        let spans = row
-            .field("spans")
-            .ok()
-            .and_then(serde_json::Value::as_array)
-            .ok_or(format!("row {i} ({trace}): missing spans"))?;
-        let mut parsed = Vec::new();
-        for (j, s) in spans.iter().enumerate() {
-            let get = |f: &str| {
-                s.field(f)
-                    .ok()
-                    .and_then(serde_json::Value::as_u64)
-                    .ok_or(format!("row {i} ({trace}) span {j}: missing field {f}"))
-            };
-            let name = s
-                .field("name")
-                .ok()
-                .and_then(serde_json::Value::as_str)
-                .ok_or(format!("row {i} ({trace}) span {j}: missing name"))?
-                .to_string();
-            parsed.push((name, get("span_id")?, get("parent_span")?, get("start_ns")?));
-        }
-        for required in ["hello", "auth_total"] {
-            if !parsed.iter().any(|(n, ..)| n == required) {
-                return Err(format!(
-                    "row {i} ({trace}): span {required} missing — trace does not stitch"
-                ));
-            }
-        }
-        for (name, _, parent, _) in &parsed {
-            if *parent != 0 && !parsed.iter().any(|(_, id, ..)| id == parent) {
-                return Err(format!(
-                    "row {i} ({trace}): span {name} is an orphan (parent {parent:#x} not in tree)"
-                ));
-            }
-        }
-        let mut last = ("", 0u64);
-        for phase in TriageRow::PHASE_ORDER {
-            if let Some((_, _, _, start)) = parsed.iter().find(|(n, ..)| n == phase) {
-                if *start < last.1 {
-                    return Err(format!(
-                        "row {i} ({trace}): phase {phase} starts at {start} ns, before {} at {} ns",
-                        last.0, last.1
-                    ));
-                }
-                last = (phase, *start);
-            }
-        }
-    }
-    Ok(())
+    a.metric("triage.rows", rows.len()).at_least(1.0);
+    a.metric("triage.anonymous_traces", count(&|r| r.trace == "0x0")).exactly(0.0);
+    a.metric("triage.rows_missing_hello", count(&|r| !has(r, "hello"))).exactly(0.0);
+    a.metric("triage.rows_missing_auth_total", count(&|r| !has(r, "auth_total"))).exactly(0.0);
+    a.metric("triage.orphan_spans", orphans).exactly(0.0);
+    a.metric("triage.non_monotone_rows", count(&|r| !monotone(r))).exactly(0.0);
+    a.metric("triage.timed_out_rows", count(&|r| r.verdict == "timed_out")).at_least(1.0);
+    a.metric("triage.flight_frozen", frozen_trace.is_some()).exactly(1.0);
+    let complete =
+        frozen_dump.is_some_and(|d| d.contains("\"hello\"") && d.contains("\"auth_total\""));
+    a.metric("triage.frozen_dump_complete", complete).exactly(1.0);
+    a
 }
 
 /// One scenario row of the `repro chaos` resilience report: a batch of
@@ -1272,99 +942,28 @@ pub fn chaos_table(rows: &[ChaosRow]) -> TextTable {
     t
 }
 
-/// Writes the chaos scenarios to `path` as the `BENCH_chaos.json`
-/// artifact: `{"bench": "chaos", "unit": "ms", "results": [...]}`.
-pub fn write_chaos_json(path: &str, rows: &[ChaosRow]) -> std::io::Result<()> {
-    let results = serde_json::to_value(&rows.to_vec())
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let doc = serde_json::Value::Object(vec![
-        ("bench".to_string(), serde_json::Value::Str("chaos".to_string())),
-        ("unit".to_string(), serde_json::Value::Str("ms".to_string())),
-        ("results".to_string(), results),
-    ]);
-    let text = serde_json::to_string(&doc)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(path, text)
-}
-
-/// Validates a `BENCH_chaos.json` document — the `repro chaos --smoke`
-/// CI gate. Requires the `chaos` envelope, at least two scenarios, a
-/// fault-free baseline (zero injected faults, 100% recovery), and every
-/// faulted scenario recovering at least 95% of its authentications —
-/// the issue's headline acceptance bar.
-pub fn validate_chaos_json(text: &str) -> Result<(), String> {
-    let doc: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| format!("not JSON: {e}"))?;
-    let bench = doc.field("bench").ok().and_then(serde_json::Value::as_str);
-    if bench != Some("chaos") {
-        return Err(format!("bench field is {bench:?}, expected \"chaos\""));
-    }
-    let results = doc
-        .field("results")
-        .ok()
-        .and_then(serde_json::Value::as_array)
-        .ok_or("missing results array")?;
-    if results.len() < 2 {
-        return Err(format!(
-            "need a baseline and at least one fault scenario, got {} rows",
-            results.len()
-        ));
-    }
-    let mut saw_baseline = false;
-    let mut saw_faulted = false;
-    for (i, row) in results.iter().enumerate() {
-        let scenario = row
-            .field("scenario")
-            .ok()
-            .and_then(serde_json::Value::as_str)
-            .ok_or(format!("row {i}: missing scenario"))?;
-        let get_u64 = |f: &str| {
-            row.field(f)
-                .ok()
-                .and_then(serde_json::Value::as_u64)
-                .ok_or(format!("row {i} ({scenario}): missing field {f}"))
-        };
-        let auths = get_u64("auths")?;
-        let correct = get_u64("correct")?;
-        let faults = get_u64("faults")?;
-        let rate = row
-            .field("recovery_rate")
-            .ok()
-            .and_then(serde_json::Value::as_f64)
-            .ok_or(format!("row {i} ({scenario}): missing recovery_rate"))?;
-        if auths == 0 {
-            return Err(format!("row {i} ({scenario}): zero authentications"));
-        }
-        if correct > auths || !(0.0..=1.0).contains(&rate) {
-            return Err(format!(
-                "row {i} ({scenario}): inconsistent tally ({correct}/{auths}, rate {rate})"
-            ));
-        }
-        if faults == 0 {
-            saw_baseline = true;
-            if correct != auths {
-                return Err(format!(
-                    "row {i} ({scenario}): fault-free baseline lost {} auths",
-                    auths - correct
-                ));
-            }
+/// The `BENCH_chaos.json` artifact: `chaos.<scenario>.recovery_rate` is
+/// exactly 1 on a fault-free row (zero injected faults) and at least
+/// 0.95 on a faulted one; at least one fault-free row and two faulted
+/// rows, each with `auths` ≥ 1.
+pub fn chaos_artifact(rows: &[ChaosRow]) -> Artifact {
+    let mut a = Artifact::new(
+        "chaos",
+        object(vec![("unit", Json::Str("ms".to_string())), ("results", detail(rows))]),
+    );
+    for r in rows {
+        let id = format!("chaos.{}", ident(&r.scenario));
+        a.metric(format!("{id}.auths"), r.auths).at_least(1.0);
+        let rate = a.metric(format!("{id}.recovery_rate"), r.recovery_rate);
+        if r.faults == 0 {
+            rate.exactly(1.0);
         } else {
-            saw_faulted = true;
-            if rate < 0.95 {
-                return Err(format!(
-                    "row {i} ({scenario}): recovery rate {:.1}% below the 95% bar",
-                    rate * 100.0
-                ));
-            }
+            rate.at_least(0.95);
         }
     }
-    if !saw_baseline {
-        return Err("no fault-free baseline scenario".to_string());
-    }
-    if !saw_faulted {
-        return Err("no faulted scenario".to_string());
-    }
-    Ok(())
+    a.metric("chaos.fault_free_rows", rows.iter().filter(|r| r.faults == 0).count()).at_least(1.0);
+    a.metric("chaos.faulted_rows", rows.iter().filter(|r| r.faults > 0).count()).at_least(2.0);
+    a
 }
 
 /// Measures mask-generation-only rate (masks/second, single thread) for a
@@ -1442,8 +1041,14 @@ mod tests {
         assert!(row.keygen_ms >= 10.0, "{row:?}");
     }
 
+    /// The smoke gate's failure on `a`'s own file, which must name `id`.
+    fn gate_fails_on(a: &Artifact, id: &str) {
+        let err = a.gate(&a.to_json()).expect_err(id);
+        assert!(err.contains(id), "{err}");
+    }
+
     #[test]
-    fn telemetry_json_round_trips_and_validates() {
+    fn telemetry_artifact_gates_substrates_and_ca_fixed_cost() {
         let row = |s: &str| TelemetryRow {
             substrate: s.into(),
             auths: 4,
@@ -1455,40 +1060,23 @@ mod tests {
             total_ms: 6.5,
             p95_total_ms: 9.0,
         };
-        let rows = vec![row("cpu"), row("gpu-sim")];
-        let path = std::env::temp_dir().join("rbc_bench_telemetry_test.json");
-        let path = path.to_str().expect("utf8 temp path");
-        write_telemetry_json(path, &rows).expect("write");
-        let text = std::fs::read_to_string(path).expect("read back");
-        std::fs::remove_file(path).ok();
-        validate_telemetry_json(&text).expect("round-trip validates");
+        let a = telemetry_artifact(&[row("cpu"), row("gpu-sim")]);
+        a.gate(&a.to_json()).expect("round trip passes");
+        assert!(a.to_json().contains("\"p95_total_ms\":9"), "rows kept in detail");
 
-        // Degenerate documents are rejected with a reason.
-        assert!(validate_telemetry_json("not json").is_err());
-        assert!(validate_telemetry_json("{\"bench\":\"other\"}").is_err());
-        let one = serde_json::to_string(&serde_json::Value::Object(vec![
-            ("bench".into(), serde_json::Value::Str("telemetry".into())),
-            ("unit".into(), serde_json::Value::Str("ms".into())),
-            ("results".into(), serde_json::to_value(&vec![row("cpu")]).expect("value")),
-        ]))
-        .expect("string");
-        let err = validate_telemetry_json(&one).expect_err("one substrate is not enough");
-        assert!(err.contains("2 substrates"), "{err}");
-
+        gate_fails_on(&telemetry_artifact(&[row("cpu")]), "telemetry.substrates");
+        let idle = TelemetryRow { auths: 0, ..row("gpu-sim") };
+        gate_fails_on(&telemetry_artifact(&[row("cpu"), idle]), "telemetry.gpu_sim.auths");
         // The CA's fixed cost must stay below keygen on the cpu row.
         let slow = TelemetryRow { hello_ms: 0.9, prepare_ms: 0.9, ..row("cpu") };
-        let doc = serde_json::to_string(&serde_json::Value::Object(vec![
-            ("bench".into(), serde_json::Value::Str("telemetry".into())),
-            ("unit".into(), serde_json::Value::Str("ms".into())),
-            ("results".into(), serde_json::to_value(&vec![slow, row("gpu-sim")]).expect("value")),
-        ]))
-        .expect("string");
-        let err = validate_telemetry_json(&doc).expect_err("fixed cost above keygen");
-        assert!(err.contains("keygen_ms"), "{err}");
+        gate_fails_on(
+            &telemetry_artifact(&[slow, row("gpu-sim")]),
+            "telemetry.cpu.ca_fixed_over_keygen",
+        );
     }
 
     #[test]
-    fn triage_rows_stitch_write_and_validate() {
+    fn triage_rows_stitch_and_gate() {
         use std::time::Duration;
         let span = |name: &'static str, span_id, parent, start_ns, ms| rbc_telemetry::SpanRecord {
             name,
@@ -1520,46 +1108,47 @@ mod tests {
         assert_eq!(row.spans.len(), 6);
         assert!(row.total_ms >= 40.0 && row.search_ms >= 30.0, "{row:?}");
 
-        let path = std::env::temp_dir().join("rbc_bench_triage_test.json");
-        let path = path.to_str().expect("utf8 temp path");
-        write_triage_json(path, std::slice::from_ref(&row), Some(0x7f3a)).expect("write");
-        let text = std::fs::read_to_string(path).expect("read back");
-        std::fs::remove_file(path).ok();
+        let dump = Some(r#"{"name":"hello"} {"name":"auth_total"}"#);
+        let a = triage_artifact(std::slice::from_ref(&row), Some(0x7f3a), dump);
+        let text = a.to_json();
         assert!(text.contains("\"frozen_trace\":\"0x7f3a\""), "{text}");
-        validate_triage_json(&text).expect("round-trip validates");
+        a.gate(&text).expect("round trip passes");
 
         // An orphan parent pointer fails the stitch check.
         let mut orphan = row.clone();
         orphan.spans[3].parent_span = 0xdead;
-        let path2 = std::env::temp_dir().join("rbc_bench_triage_orphan.json");
-        let path2 = path2.to_str().expect("utf8 temp path");
-        write_triage_json(path2, &[orphan], None).expect("write");
-        let text = std::fs::read_to_string(path2).expect("read back");
-        std::fs::remove_file(path2).ok();
-        let err = validate_triage_json(&text).expect_err("orphans must fail");
-        assert!(err.contains("orphan"), "{err}");
-
+        gate_fails_on(&triage_artifact(&[orphan], Some(0x7f3a), dump), "triage.orphan_spans");
         // Out-of-order phase starts fail the monotonicity check.
         let mut shuffled = row.clone();
-        let (a, b) = (shuffled.spans[3].start_ns, shuffled.spans[4].start_ns);
-        shuffled.spans[3].start_ns = b;
-        shuffled.spans[4].start_ns = a;
-        write_triage_json(path2, &[shuffled], None).expect("write");
-        let text = std::fs::read_to_string(path2).expect("read back");
-        std::fs::remove_file(path2).ok();
-        let err = validate_triage_json(&text).expect_err("non-monotone starts must fail");
-        assert!(err.contains("before"), "{err}");
-
+        let (a3, b4) = (shuffled.spans[3].start_ns, shuffled.spans[4].start_ns);
+        shuffled.spans[3].start_ns = b4;
+        shuffled.spans[4].start_ns = a3;
+        gate_fails_on(
+            &triage_artifact(&[shuffled], Some(0x7f3a), dump),
+            "triage.non_monotone_rows",
+        );
         // A trace with no hello never stitched across the wire.
         let headless = TriageRow::from_spans(0x7f3a, "timed_out", &spans[1..]);
-        write_triage_json(path2, &[headless], None).expect("write");
-        let text = std::fs::read_to_string(path2).expect("read back");
-        std::fs::remove_file(path2).ok();
-        assert!(validate_triage_json(&text).is_err());
+        gate_fails_on(
+            &triage_artifact(&[headless], Some(0x7f3a), dump),
+            "triage.rows_missing_hello",
+        );
+        // No breach induced, or a post-mortem without the span chain.
+        let served = TriageRow { verdict: "accepted".into(), ..row.clone() };
+        gate_fails_on(&triage_artifact(&[served], Some(0x7f3a), dump), "triage.timed_out_rows");
+        gate_fails_on(
+            &triage_artifact(std::slice::from_ref(&row), None, None),
+            "triage.flight_frozen",
+        );
+        let partial = Some(r#"{"name":"hello"}"#);
+        gate_fails_on(
+            &triage_artifact(&[row], Some(0x7f3a), partial),
+            "triage.frozen_dump_complete",
+        );
     }
 
     #[test]
-    fn chaos_json_round_trips_and_validates() {
+    fn chaos_artifact_gates_recovery() {
         let row = |scenario: &str, correct: u64, faults: u64| ChaosRow {
             scenario: scenario.into(),
             auths: 20,
@@ -1573,42 +1162,28 @@ mod tests {
             p95_ms: 6.0,
             added_latency_ms: if faults > 0 { 0.5 } else { 0.0 },
         };
-        let rows = vec![row("fault-free", 20, 0), row("single-crash", 20, 1)];
-        let path = std::env::temp_dir().join("rbc_bench_chaos_test.json");
-        let path = path.to_str().expect("utf8 temp path");
-        write_chaos_json(path, &rows).expect("write");
-        let text = std::fs::read_to_string(path).expect("read back");
-        std::fs::remove_file(path).ok();
-        validate_chaos_json(&text).expect("round-trip validates");
+        let good =
+            [row("fault-free", 20, 0), row("single-crash", 20, 1), row("crash+stall", 19, 2)];
+        let a = chaos_artifact(&good);
+        a.gate(&a.to_json()).expect("round trip passes");
 
-        // Degenerate documents are rejected with a reason.
-        assert!(validate_chaos_json("not json").is_err());
-        assert!(validate_chaos_json("{\"bench\":\"other\"}").is_err());
-
-        let wrap = |rows: &[ChaosRow]| {
-            serde_json::to_string(&serde_json::Value::Object(vec![
-                ("bench".into(), serde_json::Value::Str("chaos".into())),
-                ("unit".into(), serde_json::Value::Str("ms".into())),
-                ("results".into(), serde_json::to_value(&rows.to_vec()).expect("value")),
-            ]))
-            .expect("string")
-        };
         // A lossy fault scenario under the 95% bar must fail the gate.
-        let weak = wrap(&[row("fault-free", 20, 0), row("single-crash", 18, 1)]);
-        let err = validate_chaos_json(&weak).expect_err("90% recovery is under the bar");
-        assert!(err.contains("95%"), "{err}");
+        let weak =
+            [row("fault-free", 20, 0), row("single-crash", 18, 1), row("crash+stall", 20, 2)];
+        gate_fails_on(&chaos_artifact(&weak), "chaos.single_crash.recovery_rate");
         // A lossy "baseline" is not a baseline.
-        let bad_base = wrap(&[row("fault-free", 19, 0), row("single-crash", 20, 1)]);
-        assert!(validate_chaos_json(&bad_base).is_err());
+        let bad_base = [row("fault-free", 19, 0), row("single-crash", 20, 1), row("b", 20, 1)];
+        gate_fails_on(&chaos_artifact(&bad_base), "chaos.fault_free.recovery_rate");
         // Missing either side of the comparison fails.
-        let no_fault = wrap(&[row("a", 20, 0), row("b", 20, 0)]);
-        assert!(validate_chaos_json(&no_fault).is_err());
-        let no_base = wrap(&[row("a", 20, 1), row("b", 20, 1)]);
-        assert!(validate_chaos_json(&no_base).is_err());
+        gate_fails_on(&chaos_artifact(&[row("a", 20, 0), row("b", 20, 0)]), "chaos.faulted_rows");
+        let no_base = [row("a", 20, 1), row("b", 20, 1)];
+        gate_fails_on(&chaos_artifact(&no_base), "chaos.fault_free_rows");
+        let empty = ChaosRow { auths: 0, correct: 0, recovery_rate: 0.0, ..row("a", 0, 1) };
+        gate_fails_on(&chaos_artifact(&[row("f", 20, 0), empty, row("b", 20, 1)]), "chaos.a.auths");
     }
 
     #[test]
-    fn hash_lanes_json_round_trips_and_validates() {
+    fn hash_lanes_artifact_gates_selected_kernels_and_adaptive_batching() {
         let lane = |hash: &str, path: &str, kernel: &str, w: usize, sel: bool, speedup: f64| {
             LaneMeasurement {
                 hash: hash.into(),
@@ -1635,57 +1210,48 @@ mod tests {
             lane("SHA-1", "scalar", "scalar", 1, false, 1.0),
             lane("SHA-1", "x16", "avx512", 16, true, 8.0),
             lane("SHA-3", "scalar", "scalar", 1, false, 1.0),
-            lane("SHA-3", "x2", "portable", 2, false, 0.45),
             lane("SHA-3", "x8", "avx512", 8, true, 3.5),
         ];
         let ad = vec![adaptive(1, 1.4, 1.1), adaptive(2, 1.0, 1.0)];
-        let path = std::env::temp_dir().join("rbc_bench_hash_lanes_test.json");
-        let path = path.to_str().expect("utf8 temp path");
-        write_hash_lane_json(path, &rows, &ad).expect("write");
-        let text = std::fs::read_to_string(path).expect("read back");
-        std::fs::remove_file(path).ok();
+        let a = hash_lanes_artifact(&rows, &ad);
+        let text = a.to_json();
         // The artifact always records the real host's dispatch metadata.
         assert!(text.contains("\"kernel_plan\""), "{text}");
         assert!(text.contains("\"detected\""), "{text}");
-        // Validation may hinge on this host's active tier for the SHA-1
-        // bar; the 8.0x selected row clears every tier's bar.
-        validate_hash_lanes_json(&text).expect("round-trip validates");
-
-        // Degenerate documents are rejected with a reason.
-        assert!(validate_hash_lanes_json("not json").is_err());
-        assert!(validate_hash_lanes_json("{\"bench\":\"other\"}").is_err());
+        assert_eq!(a.tier.as_deref(), Some(rbc_hash::dispatch::active_level().name()));
+        // The SHA-1 bar hinges on this host's active tier; the 8.0x
+        // selected row clears every tier's bar.
+        a.gate(&text).expect("round trip passes");
+        let rates: Vec<&str> =
+            a.metrics.iter().filter(|m| m.baseline.is_some()).map(|m| m.id.as_str()).collect();
+        assert_eq!(rates, ["hash.sha_1.x16.rate", "hash.sha_3.x8.rate"]);
 
         // A dispatcher-selected width slower than scalar fails the gate.
         let mut slow = rows.clone();
-        slow[4].speedup = 0.9;
-        write_hash_lane_json(path, &slow, &ad).expect("write");
-        let text = std::fs::read_to_string(path).expect("read back");
-        std::fs::remove_file(path).ok();
-        let err = validate_hash_lanes_json(&text).expect_err("selected < scalar must fail");
-        assert!(err.contains("scalar"), "{err}");
-
+        slow[3].speedup = 0.9;
+        gate_fails_on(&hash_lanes_artifact(&slow, &ad), "hash.sha_3.x8.speedup");
+        // Nothing selected, or a SHA-1 kernel under the tier's bar.
+        let none: Vec<_> =
+            rows.iter().map(|r| LaneMeasurement { selected: false, ..r.clone() }).collect();
+        gate_fails_on(&hash_lanes_artifact(&none, &ad), "hash.selected_rows");
+        let mut weak = rows.clone();
+        weak[1].speedup = 0.95;
+        gate_fails_on(&hash_lanes_artifact(&weak, &ad), "hash.sha_1.best_selected_speedup");
         // No adaptive win at low d fails the gate.
-        let flat = vec![adaptive(1, 1.0, 1.0)];
-        write_hash_lane_json(path, &rows, &flat).expect("write");
-        let text = std::fs::read_to_string(path).expect("read back");
-        std::fs::remove_file(path).ok();
-        let err = validate_hash_lanes_json(&text).expect_err("no low-d gain must fail");
-        assert!(err.contains("low d"), "{err}");
-
+        gate_fails_on(
+            &hash_lanes_artifact(&rows, &[adaptive(1, 1.0, 1.0)]),
+            "hash.adaptive.low_d_seed_gain",
+        );
         // Adaptive losing wall time with no seed savings fails the gate;
         // a noisy wall number alongside a real (deterministic) seed win
         // does not.
-        let slowed = vec![adaptive(1, 1.4, 1.1), adaptive(2, 1.0, 0.5)];
-        write_hash_lane_json(path, &rows, &slowed).expect("write");
-        let text = std::fs::read_to_string(path).expect("read back");
-        std::fs::remove_file(path).ok();
-        let err = validate_hash_lanes_json(&text).expect_err("slower adaptive must fail");
-        assert!(err.contains("slower"), "{err}");
-        let noisy = vec![adaptive(1, 1.4, 0.7), adaptive(2, 1.0, 0.9)];
-        write_hash_lane_json(path, &rows, &noisy).expect("write");
-        let text = std::fs::read_to_string(path).expect("read back");
-        std::fs::remove_file(path).ok();
-        validate_hash_lanes_json(&text).expect("noisy-but-winning row passes");
+        let slowed = [adaptive(1, 1.4, 1.1), adaptive(2, 1.0, 0.5)];
+        gate_fails_on(
+            &hash_lanes_artifact(&rows, &slowed),
+            "hash.adaptive.d2.slower_without_seed_saving",
+        );
+        let noisy = hash_lanes_artifact(&rows, &[adaptive(1, 1.4, 0.7), adaptive(2, 1.0, 0.9)]);
+        noisy.gate(&noisy.to_json()).expect("noisy-but-winning row passes");
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! digest over every retained point is the determinism gate, exactly
 //! like `repro sim`'s verdict digest. The run is rendered as an ANSI
 //! dashboard (sparklines, per-substrate utilization bars, the alert
-//! log) and written to `BENCH_monitor.json` behind
-//! [`validate_monitor_json`].
+//! log) and written to `BENCH_monitor.json` from
+//! [`MonitorOutcome::artifact`].
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -36,7 +36,12 @@ use rbc_telemetry::{
     Tracer,
 };
 
-use crate::world::{self, fold, ledger_violations, World, CALM_SALTS};
+use serde_json::Value as Json;
+
+use crate::artifact::{detail, object};
+use crate::baseline::Worse;
+use crate::world::{self, fold, ledger_violations, Replay, World, CALM_SALTS};
+use crate::Artifact;
 
 /// Concurrent clients.
 const CLIENTS: usize = 6;
@@ -375,178 +380,58 @@ pub fn render_dashboard(o: &MonitorOutcome, color: bool) -> String {
     out
 }
 
-/// Writes the run (plus its replay verdict) to `path` as the
-/// `BENCH_monitor.json` artifact.
-pub fn write_monitor_json(
-    path: &str,
-    outcome: &MonitorOutcome,
-    replayed: u64,
-    divergences: u64,
-    wall_secs: f64,
-) -> std::io::Result<()> {
-    use serde_json::Value;
-    let series = Value::Array(
-        outcome
+/// Dashboard series the smoke gate requires populated, with their
+/// minimum point counts.
+const SERIES_FLOORS: [(&str, usize); 6] = [
+    ("rbc_service_requests_total:rate", 100),
+    ("rbc_service_auth_total_ns:p99", 10),
+    ("rbc_dispatch_queue_depth", 100),
+    ("rbc_backend_0_supervised_utilization_ratio", 100),
+    ("rbc_backend_1_supervised_utilization_ratio", 100),
+    ("rbc_dispatch_backend_0_supervised_queue_depth", 100),
+];
+
+impl MonitorOutcome {
+    /// The `BENCH_monitor.json` artifact of this run and its `replay`. Gates a full scrape count
+    /// (≥ 300) and run span, a replay with no divergence, no cross-check
+    /// violation, balanced books under real load (≥ 200 requests) with
+    /// a real incident (sheds), the staged alerts (a page, ending clear,
+    /// the flight recorder frozen) and the dashboard series populated.
+    /// `detail` holds the alert log and every series.
+    pub fn artifact(&self, replay: Replay) -> Artifact {
+        let series = self
             .series
             .iter()
             .map(|(name, pts)| {
-                Value::Object(vec![
-                    ("name".to_string(), Value::Str(name.clone())),
-                    (
-                        "points".to_string(),
-                        Value::Array(
-                            pts.iter()
-                                .map(|p| {
-                                    Value::Object(vec![
-                                        ("at_ns".to_string(), Value::UInt(p.at_ns)),
-                                        ("value".to_string(), Value::Float(p.value)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
+                let points: Vec<(u64, f64)> = pts.iter().map(|p| (p.at_ns, p.value)).collect();
+                (name.as_str(), detail(&points))
             })
-            .collect(),
-    );
-    let alerts = Value::Array(
-        outcome
-            .alerts
-            .iter()
-            .map(|a| {
-                Value::Object(vec![
-                    ("spec".to_string(), Value::Str(a.spec.clone())),
-                    ("severity".to_string(), Value::Str(a.severity.name().to_string())),
-                    ("at_ns".to_string(), Value::UInt(a.at_ns)),
-                    ("fast_burn".to_string(), Value::Float(a.fast_burn)),
-                    ("slow_burn".to_string(), Value::Float(a.slow_burn)),
-                ])
-            })
-            .collect(),
-    );
-    let doc = Value::Object(vec![
-        ("bench".to_string(), Value::Str("monitor".to_string())),
-        ("unit".to_string(), Value::Str("mixed".to_string())),
-        ("seed".to_string(), Value::UInt(outcome.seed)),
-        ("ticks".to_string(), Value::UInt(outcome.ticks)),
-        ("sim_secs".to_string(), Value::Float(outcome.sim_secs)),
-        ("wall_secs".to_string(), Value::Float(wall_secs)),
-        ("series_digest".to_string(), Value::Str(format!("{:016x}", outcome.digest))),
-        ("replayed".to_string(), Value::UInt(replayed)),
-        ("divergences".to_string(), Value::UInt(divergences)),
-        ("violations".to_string(), Value::UInt(outcome.violations.len() as u64)),
-        ("flight_frozen".to_string(), Value::Bool(outcome.flight_frozen)),
-        ("issued".to_string(), Value::UInt(outcome.issued)),
-        ("accepted".to_string(), Value::UInt(outcome.accepted)),
-        ("rejected".to_string(), Value::UInt(outcome.rejected)),
-        ("timed_out".to_string(), Value::UInt(outcome.timed_out)),
-        ("shed".to_string(), Value::UInt(outcome.shed)),
-        ("errors".to_string(), Value::UInt(outcome.errors)),
-        ("alerts".to_string(), alerts),
-        ("series".to_string(), series),
-    ]);
-    let text = serde_json::to_string(&doc)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(path, text)
-}
-
-/// Validates a `BENCH_monitor.json` document — the `repro monitor
-/// --smoke` CI gate. Requires the `monitor` envelope, a full scrape
-/// count, a replayed run with zero digest divergences, balanced books
-/// with a real load (≥ 200 requests) and a real incident (sheds > 0),
-/// the staged alert sequence (at least one page, ending clear, flight
-/// recorder frozen), and the key dashboard series populated.
-pub fn validate_monitor_json(text: &str) -> Result<(), String> {
-    let doc: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| format!("not JSON: {e}"))?;
-    let bench = doc.field("bench").ok().and_then(serde_json::Value::as_str);
-    if bench != Some("monitor") {
-        return Err(format!("bench field is {bench:?}, expected \"monitor\""));
-    }
-    let get_u64 = |f: &str| {
-        doc.field(f).ok().and_then(serde_json::Value::as_u64).ok_or(format!("missing field {f}"))
-    };
-    let ticks = get_u64("ticks")?;
-    if ticks < 300 {
-        return Err(format!("{ticks} scrapes, need at least 300"));
-    }
-    let sim_secs =
-        doc.field("sim_secs").ok().and_then(serde_json::Value::as_f64).ok_or("missing sim_secs")?;
-    if sim_secs < 85.0 {
-        return Err(format!("run spanned {sim_secs:.1} sim-seconds, need ≥ 85"));
-    }
-    if get_u64("replayed")? == 0 {
-        return Err("no replay was run for the determinism check".to_string());
-    }
-    let divergences = get_u64("divergences")?;
-    if divergences != 0 {
-        return Err(format!("{divergences} replay digest divergences"));
-    }
-    if get_u64("violations")? != 0 {
-        return Err("run reported cross-check violations".to_string());
-    }
-    let issued = get_u64("issued")?;
-    if issued < 200 {
-        return Err(format!("only {issued} requests issued, need ≥ 200"));
-    }
-    let tallied = get_u64("accepted")?
-        + get_u64("rejected")?
-        + get_u64("timed_out")?
-        + get_u64("shed")?
-        + get_u64("errors")?;
-    if issued != tallied {
-        return Err(format!("books do not balance: issued {issued} != tallied {tallied}"));
-    }
-    if get_u64("shed")? == 0 {
-        return Err("no sheds — the staged storm never overloaded the queue".to_string());
-    }
-    if doc.field("flight_frozen").ok().and_then(serde_json::Value::as_bool) != Some(true) {
-        return Err("flight recorder was not frozen by the page".to_string());
-    }
-
-    let alerts = doc
-        .field("alerts")
-        .ok()
-        .and_then(serde_json::Value::as_array)
-        .ok_or("missing alerts array")?;
-    let severities: Vec<&str> = alerts
-        .iter()
-        .map(|a| a.field("severity").ok().and_then(serde_json::Value::as_str).unwrap_or(""))
-        .collect();
-    if !severities.contains(&"page") {
-        return Err(format!("no page alert in the staged incident: {severities:?}"));
-    }
-    if severities.last() != Some(&"clear") {
-        return Err(format!("run must end with a recovery to clear: {severities:?}"));
-    }
-
-    let series = doc
-        .field("series")
-        .ok()
-        .and_then(serde_json::Value::as_array)
-        .ok_or("missing series array")?;
-    let points_of = |name: &str| -> usize {
-        series
-            .iter()
-            .find(|s| s.field("name").ok().and_then(serde_json::Value::as_str) == Some(name))
-            .and_then(|s| s.field("points").ok())
-            .and_then(|p| p.as_array().map(|a| a.len()))
-            .unwrap_or(0)
-    };
-    for (name, min_points) in [
-        ("rbc_service_requests_total:rate", 100),
-        ("rbc_service_auth_total_ns:p99", 10),
-        ("rbc_dispatch_queue_depth", 100),
-        ("rbc_backend_0_supervised_utilization_ratio", 100),
-        ("rbc_backend_1_supervised_utilization_ratio", 100),
-        ("rbc_dispatch_backend_0_supervised_queue_depth", 100),
-    ] {
-        let n = points_of(name);
-        if n < min_points {
-            return Err(format!("series {name} has {n} points, need ≥ {min_points}"));
+            .collect();
+        let mut a = Artifact::new(
+            "monitor",
+            object(vec![
+                ("seed", Json::UInt(self.seed)),
+                ("alerts", world::alerts_detail(&self.alerts)),
+                ("series", object(series)),
+            ]),
+        );
+        a.metric("monitor.ticks", self.ticks).at_least(300.0).baseline_exact();
+        world::replay_metrics(&mut a, replay, self.violations.len(), self.sim_secs);
+        let ledger = Worse::Differ;
+        a.metric("monitor.issued", self.issued).at_least(200.0).baseline(0.1, ledger);
+        a.metric("monitor.accepted", self.accepted).baseline(0.1, ledger);
+        a.metric("monitor.shed", self.shed).at_least(1.0).baseline(0.1, ledger);
+        let outcomes = [self.accepted, self.rejected, self.timed_out, self.shed, self.errors];
+        a.metric("monitor.unbooked", world::unbooked(self.issued, outcomes)).exactly(0.0);
+        world::alert_metrics(&mut a, &self.alerts, 0.1);
+        a.metric("monitor.flight_frozen", self.flight_frozen).exactly(1.0);
+        for (name, floor) in SERIES_FLOORS {
+            let points = self.series.iter().find(|(n, _)| n == name).map_or(0, |(_, p)| p.len());
+            a.metric(format!("monitor.points.{name}"), points).at_least(floor as f64);
         }
+        a.digest("monitor.series_digest", self.digest);
+        a
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -588,7 +473,7 @@ mod tests {
     }
 
     #[test]
-    fn monitor_json_round_trips_and_validates() {
+    fn monitor_artifact_gates_the_staged_incident() {
         let mk_series = |name: &str, n: usize| {
             (
                 name.to_string(),
@@ -601,14 +486,7 @@ mod tests {
             seed: 0x0B5E,
             ticks: 360,
             sim_secs: 90.0,
-            series: vec![
-                mk_series("rbc_service_requests_total:rate", 359),
-                mk_series("rbc_service_auth_total_ns:p99", 200),
-                mk_series("rbc_dispatch_queue_depth", 360),
-                mk_series("rbc_backend_0_supervised_utilization_ratio", 360),
-                mk_series("rbc_backend_1_supervised_utilization_ratio", 360),
-                mk_series("rbc_dispatch_backend_0_supervised_queue_depth", 360),
-            ],
+            series: SERIES_FLOORS.iter().map(|(name, floor)| mk_series(name, floor + 1)).collect(),
             alerts: vec![
                 Alert {
                     spec: "availability".to_string(),
@@ -635,61 +513,63 @@ mod tests {
             digest: 0xABCD_EF01_2345_6789,
             violations: Vec::new(),
         };
-        let path = std::env::temp_dir().join("rbc_bench_monitor_test.json");
-        let path = path.to_str().unwrap();
-        let rewrite = |f: &mut dyn FnMut(&mut MonitorOutcome) -> (u64, u64)| {
+        let gate = |f: &dyn Fn(&mut MonitorOutcome) -> (u64, u64)| {
             let mut o = outcome.clone();
             let (replayed, divergences) = f(&mut o);
-            write_monitor_json(path, &o, replayed, divergences, 2.0).expect("write");
-            let text = std::fs::read_to_string(path).expect("read");
-            let _ = std::fs::remove_file(path);
-            text
+            let a = o.artifact(Replay { replayed, divergences, wall_secs: 2.0 });
+            a.gate(&a.to_json())
+        };
+        let fails_on = |id: &str, f: &dyn Fn(&mut MonitorOutcome) -> (u64, u64)| {
+            let err = gate(f).expect_err(id);
+            assert!(err.contains(id), "{err}");
         };
 
-        let good = rewrite(&mut |_| (1, 0));
-        validate_monitor_json(&good).expect("round-trip validates");
-        assert!(validate_monitor_json("not json").is_err());
-
-        let diverged = rewrite(&mut |_| (1, 1));
-        assert!(validate_monitor_json(&diverged).is_err(), "divergence must fail");
-        let no_replay = rewrite(&mut |_| (0, 0));
-        assert!(validate_monitor_json(&no_replay).is_err(), "missing replay must fail");
-        let few_ticks = rewrite(&mut |o| {
+        gate(&|_| (1, 0)).expect("round trip passes");
+        fails_on("monitor.divergences", &|_| (1, 1));
+        fails_on("monitor.replayed", &|_| (0, 0));
+        fails_on("monitor.ticks", &|o| {
             o.ticks = 100;
             (1, 0)
         });
-        assert!(validate_monitor_json(&few_ticks).is_err(), "too few scrapes must fail");
-        let no_sheds = rewrite(&mut |o| {
+        fails_on("monitor.sim_secs", &|o| {
+            o.sim_secs = 80.0;
+            (1, 0)
+        });
+        fails_on("monitor.violations", &|o| {
+            o.violations.push("x".to_string());
+            (1, 0)
+        });
+        fails_on("monitor.issued", &|o| {
+            o.issued = 150;
+            o.accepted = 150;
+            o.shed = 0;
+            (1, 0)
+        });
+        fails_on("monitor.shed", &|o| {
             o.shed = 0;
             o.accepted = 900;
             (1, 0)
         });
-        assert!(validate_monitor_json(&no_sheds).is_err(), "missing incident must fail");
-        let unbalanced = rewrite(&mut |o| {
+        fails_on("monitor.unbooked", &|o| {
             o.accepted -= 1;
             (1, 0)
         });
-        assert!(validate_monitor_json(&unbalanced).is_err(), "unbalanced books must fail");
-        let no_page = rewrite(&mut |o| {
+        fails_on("monitor.pages", &|o| {
             o.alerts.remove(0);
             (1, 0)
         });
-        assert!(validate_monitor_json(&no_page).is_err(), "missing page must fail");
-        let no_clear = rewrite(&mut |o| {
+        fails_on("monitor.ends_clear", &|o| {
             o.alerts.pop();
             (1, 0)
         });
-        assert!(validate_monitor_json(&no_clear).is_err(), "missing recovery must fail");
-        let thin_series = rewrite(&mut |o| {
+        fails_on("monitor.points.rbc_service_requests_total:rate", &|o| {
             o.series[0].1.truncate(10);
             (1, 0)
         });
-        assert!(validate_monitor_json(&thin_series).is_err(), "thin series must fail");
-        let thawed = rewrite(&mut |o| {
+        fails_on("monitor.flight_frozen", &|o| {
             o.flight_frozen = false;
             (1, 0)
         });
-        assert!(validate_monitor_json(&thawed).is_err(), "unfrozen flight must fail");
     }
 
     #[test]

@@ -34,7 +34,8 @@
 //!
 //! Across the sweep, fault scenarios on the generous (20 s) budget must
 //! recover at least 95% of their in-bound authentications — the same
-//! bar `repro chaos` enforces on the wall clock.
+//! bar `repro chaos` enforces on the wall clock. Results land in
+//! `BENCH_sim.json` from [`SweepResult::artifact`].
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,11 +56,13 @@ use rbc_net::{lossy_duplex_with_clock, RpcClient, RpcServer};
 use rbc_pqc::LightSaber;
 use rbc_splitmix::splitmix64;
 use rbc_telemetry::{CollectingRecorder, EventKind, Registry};
+use serde_json::Value as Json;
 
+use crate::artifact::{detail, ident, object};
 use crate::world::{
     ca_config, enroll, fold, fold_bytes, fold_snapshot, ledger_violations, mix, CALM_SALTS, MAX_D,
 };
-use crate::TextTable;
+use crate::{Artifact, TextTable};
 
 /// Minimum simulated span per scenario.
 const MIN_SIM: Duration = Duration::from_secs(100);
@@ -741,113 +744,41 @@ pub fn sim_table(rows: &[SimRow]) -> TextTable {
     t
 }
 
-/// Writes the sweep to `path` as the `BENCH_sim.json` artifact.
-pub fn write_sim_json(path: &str, sweep: &SweepResult, wall_secs: f64) -> std::io::Result<()> {
-    let results = serde_json::to_value(&sweep.rows.to_vec())
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let doc = serde_json::Value::Object(vec![
-        ("bench".to_string(), serde_json::Value::Str("sim".to_string())),
-        ("unit".to_string(), serde_json::Value::Str("count".to_string())),
-        ("scenarios".to_string(), serde_json::Value::UInt(sweep.scenarios)),
-        ("replayed".to_string(), serde_json::Value::UInt(sweep.replayed)),
-        ("divergences".to_string(), serde_json::Value::UInt(sweep.divergences)),
-        ("violations".to_string(), serde_json::Value::UInt(sweep.violations)),
-        ("timed_out_total".to_string(), serde_json::Value::UInt(sweep.timed_out_total)),
-        ("min_sim_secs".to_string(), serde_json::Value::Float(sweep.min_sim_secs)),
-        ("wall_secs".to_string(), serde_json::Value::Float(wall_secs)),
-        ("results".to_string(), results),
-    ]);
-    let text = serde_json::to_string(&doc)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(path, text)
-}
-
-/// Validates a `BENCH_sim.json` document — the `repro sim --smoke` CI
-/// gate. Requires the `sim` envelope, at least 1000 scenarios each
-/// spanning ≥ 100 simulated seconds, zero invariant violations, zero
-/// determinism divergences across a non-empty replay set, an exercised
-/// deadline path, and ≥ 95% in-bound recovery on every generous-budget
-/// row (100% for the fault-free baseline).
-pub fn validate_sim_json(text: &str) -> Result<(), String> {
-    let doc: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| format!("not JSON: {e}"))?;
-    let bench = doc.field("bench").ok().and_then(serde_json::Value::as_str);
-    if bench != Some("sim") {
-        return Err(format!("bench field is {bench:?}, expected \"sim\""));
-    }
-    let get_u64 = |f: &str| {
-        doc.field(f).ok().and_then(serde_json::Value::as_u64).ok_or(format!("missing field {f}"))
-    };
-    let scenarios = get_u64("scenarios")?;
-    if scenarios < 1000 {
-        return Err(format!("{scenarios} scenarios, need at least 1000"));
-    }
-    let min_sim = doc
-        .field("min_sim_secs")
-        .ok()
-        .and_then(serde_json::Value::as_f64)
-        .ok_or("missing min_sim_secs")?;
-    if min_sim < 100.0 {
-        return Err(format!("shortest scenario spanned {min_sim:.1} sim-seconds, need ≥ 100"));
-    }
-    let violations = get_u64("violations")?;
-    if violations != 0 {
-        return Err(format!("{violations} invariant violations"));
-    }
-    let replayed = get_u64("replayed")?;
-    if replayed == 0 {
-        return Err("no seeds were replayed for the determinism check".to_string());
-    }
-    let divergences = get_u64("divergences")?;
-    if divergences != 0 {
-        return Err(format!("{divergences} of {replayed} replayed seeds diverged"));
-    }
-    if get_u64("timed_out_total")? == 0 {
-        return Err("no timed-out verdicts — the deadline path was never exercised".to_string());
-    }
-    let results = doc
-        .field("results")
-        .ok()
-        .and_then(serde_json::Value::as_array)
-        .ok_or("missing results array")?;
-    if results.is_empty() {
-        return Err("empty results".to_string());
-    }
-    let mut saw_baseline = false;
-    for (i, row) in results.iter().enumerate() {
-        let scenario = row
-            .field("scenario")
-            .ok()
-            .and_then(serde_json::Value::as_str)
-            .ok_or(format!("row {i}: missing scenario"))?;
-        let rate = row
-            .field("recovery_rate")
-            .ok()
-            .and_then(serde_json::Value::as_f64)
-            .ok_or(format!("row {i} ({scenario}): missing recovery_rate"))?;
-        if scenario.ends_with("/generous") {
-            if rate < 0.95 {
-                return Err(format!(
-                    "row {i} ({scenario}): recovery rate {:.1}% below the 95% bar",
-                    rate * 100.0
-                ));
+impl SweepResult {
+    /// The `BENCH_sim.json` artifact of the sweep. Gates ≥ 1000
+    /// scenarios each spanning ≥ 100 simulated seconds, zero invariant
+    /// violations, zero divergences across a non-empty replay set, an
+    /// exercised deadline path, a wall time within 60 s, and in-bound
+    /// recovery ≥ 95% on every generous-budget row (exactly 100% on the
+    /// fault-free baseline, which must be present). Each row's digest
+    /// is recorded exactly in `BASELINE.json`. `detail` holds the rows.
+    pub fn artifact(&self, wall_secs: f64) -> Artifact {
+        let mut a = Artifact::new(
+            "sim",
+            object(vec![("unit", Json::Str("count".to_string())), ("results", detail(&self.rows))]),
+        );
+        a.metric("sim.scenarios", self.scenarios).at_least(1000.0);
+        a.metric("sim.min_sim_secs", self.min_sim_secs).at_least(100.0);
+        a.metric("sim.violations", self.violations).exactly(0.0);
+        a.metric("sim.replayed", self.replayed).at_least(1.0);
+        a.metric("sim.divergences", self.divergences).exactly(0.0);
+        a.metric("sim.timed_out_total", self.timed_out_total).at_least(1.0);
+        a.metric("sim.wall_secs", wall_secs).at_most(60.0);
+        const BASELINE_ROW: &str = "fault-free/generous";
+        let baselines = self.rows.iter().filter(|r| r.scenario == BASELINE_ROW).count();
+        a.metric("sim.fault_free_generous_rows", baselines).at_least(1.0);
+        for r in &self.rows {
+            let id = format!("sim.{}", ident(&r.scenario));
+            let rate = a.metric(format!("{id}.recovery_rate"), r.recovery_rate);
+            if r.scenario == BASELINE_ROW {
+                rate.exactly(1.0);
+            } else if r.scenario.ends_with("/generous") {
+                rate.at_least(0.95);
             }
-            if scenario.starts_with("fault-free") {
-                saw_baseline = true;
-                if rate < 1.0 {
-                    return Err(format!(
-                        "row {i} ({scenario}): fault-free baseline lost in-bound auths \
-                         ({:.1}% recovery)",
-                        rate * 100.0
-                    ));
-                }
-            }
+            a.digest(format!("{id}.digest"), r.digest);
         }
+        a
     }
-    if !saw_baseline {
-        return Err("no fault-free generous baseline row".to_string());
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -891,7 +822,7 @@ mod tests {
     }
 
     #[test]
-    fn sim_json_round_trips_and_validates() {
+    fn sim_artifact_gates_the_sweep() {
         let row = SimRow {
             scenario: "fault-free/generous".to_string(),
             runs: 500,
@@ -903,14 +834,17 @@ mod tests {
             inbound: 2800,
             recovery_rate: 1.0,
             mean_sim_secs: 100.0,
-            digest: 0xDEADBEEF,
+            digest: 0xDC4C_DFCD_6383_A2DF,
             violations: 0,
         };
         let mut storm = row.clone();
         storm.scenario = "deadline-storm/tight".to_string();
         storm.recovery_rate = 0.1;
+        let mut crash = row.clone();
+        crash.scenario = "single-crash/generous".to_string();
+        crash.recovery_rate = 0.97;
         let sweep = SweepResult {
-            rows: vec![row.clone(), storm],
+            rows: vec![crash, row, storm],
             scenarios: 1000,
             replayed: 100,
             divergences: 0,
@@ -919,36 +853,40 @@ mod tests {
             violation_samples: Vec::new(),
             violations: 0,
         };
-        let path = std::env::temp_dir().join("rbc_bench_sim_test.json");
-        let path = path.to_str().unwrap();
-        write_sim_json(path, &sweep, 12.5).expect("write");
-        let text = std::fs::read_to_string(path).expect("read");
-        let _ = std::fs::remove_file(path);
-        validate_sim_json(&text).expect("round-trip validates");
+        let a = sweep.artifact(12.5);
+        a.gate(&a.to_json()).expect("round trip passes");
+        let digests: Vec<&str> =
+            a.metrics.iter().filter(|m| m.baseline.is_some()).map(|m| m.id.as_str()).collect();
+        assert_eq!(
+            digests,
+            [
+                "sim.single_crash_generous.digest",
+                "sim.fault_free_generous.digest",
+                "sim.deadline_storm_tight.digest"
+            ]
+        );
 
-        assert!(validate_sim_json("not json").is_err());
-        let rewrite = |f: &mut dyn FnMut(&mut SweepResult)| {
+        let fails_on = |id: &str, wall_secs: f64, f: &dyn Fn(&mut SweepResult)| {
             let mut s = sweep.clone();
             f(&mut s);
-            write_sim_json(path, &s, 1.0).expect("write");
-            let text = std::fs::read_to_string(path).expect("read");
-            let _ = std::fs::remove_file(path);
-            text
+            let a = s.artifact(wall_secs);
+            let err = a.gate(&a.to_json()).expect_err(id);
+            assert!(err.contains(id), "{err}");
         };
-        let too_few = rewrite(&mut |s| s.scenarios = 999);
-        assert!(validate_sim_json(&too_few).is_err(), "999 scenarios is under the bar");
-        let short = rewrite(&mut |s| s.min_sim_secs = 99.0);
-        assert!(validate_sim_json(&short).is_err(), "99 sim-seconds is under the bar");
-        let diverged = rewrite(&mut |s| s.divergences = 1);
-        assert!(validate_sim_json(&diverged).is_err(), "divergence must fail");
-        let violated = rewrite(&mut |s| s.violations = 3);
-        assert!(validate_sim_json(&violated).is_err(), "violations must fail");
-        let no_deadline = rewrite(&mut |s| s.timed_out_total = 0);
-        assert!(validate_sim_json(&no_deadline).is_err(), "deadline path must be exercised");
-        let weak = rewrite(&mut |s| {
-            s.rows[0].recovery_rate = 0.9;
+        fails_on("sim.scenarios", 1.0, &|s| s.scenarios = 999);
+        fails_on("sim.min_sim_secs", 1.0, &|s| s.min_sim_secs = 99.0);
+        fails_on("sim.divergences", 1.0, &|s| s.divergences = 1);
+        fails_on("sim.replayed", 1.0, &|s| s.replayed = 0);
+        fails_on("sim.violations", 1.0, &|s| s.violations = 3);
+        fails_on("sim.timed_out_total", 1.0, &|s| s.timed_out_total = 0);
+        fails_on("sim.wall_secs", 61.0, &|_| {});
+        fails_on("sim.single_crash_generous.recovery_rate", 1.0, &|s| {
+            s.rows[0].recovery_rate = 0.9
         });
-        assert!(validate_sim_json(&weak).is_err(), "90% generous recovery is under the bar");
+        fails_on("sim.fault_free_generous.recovery_rate", 1.0, &|s| s.rows[1].recovery_rate = 0.99);
+        fails_on("sim.fault_free_generous_rows", 1.0, &|s| {
+            s.rows.remove(1);
+        });
     }
 }
 

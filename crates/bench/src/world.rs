@@ -46,6 +46,11 @@ use rbc_pqc::LightSaber;
 use rbc_puf::ModelPuf;
 use rbc_splitmix::{splitmix64, GOLDEN_GAMMA};
 use rbc_telemetry::{attrib, Alert, MetricSnapshot, Recorder, Registry, Severity, Snapshot};
+use serde_json::Value as Json;
+
+use crate::artifact::detail;
+use crate::baseline::Worse;
+use crate::Artifact;
 
 /// Search bound of every scenario: a rejection exhausts C(256,0) +
 /// C(256,1) + C(256,2) = 32 897 derivations, single-digit milliseconds
@@ -142,6 +147,70 @@ pub(crate) fn render_alerts(alerts: &[Alert], color: bool, width: usize) -> Stri
         ));
     }
     out
+}
+
+/// How a staged scenario's replay check went.
+#[derive(Clone, Copy, Debug)]
+pub struct Replay {
+    /// Replays run.
+    pub replayed: u64,
+    /// Replays whose digest (or ledger) differed from the first run.
+    pub divergences: u64,
+    /// Wall seconds for the run and its replays.
+    pub wall_secs: f64,
+}
+
+/// The replay metrics `monitor`, `attrib` and `adversarial` share,
+/// after their `<bench>.ticks`: `divergences` and `violations` exactly
+/// 0 (both recorded exactly in `BASELINE.json`), a full run span
+/// (`sim_secs` ≥ 85), at least one replay, and the wall time.
+pub(crate) fn replay_metrics(a: &mut Artifact, replay: Replay, violations: usize, sim_secs: f64) {
+    let bench = a.bench.clone();
+    a.metric(format!("{bench}.divergences"), replay.divergences).exactly(0.0).baseline_exact();
+    a.metric(format!("{bench}.violations"), violations).exactly(0.0).baseline_exact();
+    a.metric(format!("{bench}.sim_secs"), sim_secs).at_least(85.0);
+    a.metric(format!("{bench}.replayed"), replay.replayed).at_least(1.0);
+    a.metric(format!("{bench}.wall_secs"), replay.wall_secs);
+}
+
+/// `issued` minus every verdict and error: 0 when the books balance.
+pub(crate) fn unbooked(issued: u64, outcomes: [u64; 5]) -> f64 {
+    issued as f64 - outcomes.iter().sum::<u64>() as f64
+}
+
+/// The staged incident's alert metrics: `<bench>.alerts` (recorded in
+/// `BASELINE.json` at `tolerance`), at least one `<bench>.pages` (fewer
+/// is worse) and a log that ends clear.
+pub(crate) fn alert_metrics(a: &mut Artifact, alerts: &[Alert], tolerance: f64) {
+    let bench = a.bench.clone();
+    let pages = alerts.iter().filter(|a| a.severity == Severity::Page).count();
+    let ends_clear = alerts.last().map(|a| a.severity) == Some(Severity::Clear);
+    a.metric(format!("{bench}.alerts"), alerts.len()).baseline(tolerance, Worse::Differ);
+    a.metric(format!("{bench}.pages"), pages).at_least(1.0).baseline(0.0, Worse::Lower);
+    a.metric(format!("{bench}.ends_clear"), ends_clear).exactly(1.0);
+}
+
+/// An alert log for an artifact's `detail`.
+pub(crate) fn alerts_detail(alerts: &[Alert]) -> Json {
+    #[derive(serde::Serialize)]
+    struct Row {
+        spec: String,
+        severity: &'static str,
+        at_ns: u64,
+        fast_burn: f64,
+        slow_burn: f64,
+    }
+    let rows: Vec<Row> = alerts
+        .iter()
+        .map(|a| Row {
+            spec: a.spec.clone(),
+            severity: a.severity.name(),
+            at_ns: a.at_ns,
+            fast_burn: a.fast_burn,
+            slow_burn: a.slow_burn,
+        })
+        .collect();
+    detail(&rows)
 }
 
 /// The service-ledger and timeline checks every scenario ends with:

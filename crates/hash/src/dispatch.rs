@@ -25,29 +25,18 @@
 //! AVX-512 the prescreens XOR stack chunks into seeds and compare the
 //! narrower kernels' prefixes, with no heap allocation.
 //!
-//! The portable tier selects no interleaved kernel at all: without
-//! `target-cpu=native` the autovectorized interleaves in [`crate::lanes`]
-//! measured *below* scalar (0.86–0.95x SHA-1, 0.77–0.90x SHA-3), so the
-//! honest portable plan is empty and the whole batch drains through the
-//! scalar tail. Since the explicit kernels no longer rely on build flags
-//! at all, the workspace builds without `.cargo/config.toml`.
-//!
-//! The SHA3-256 two-lane interleave (`lanes::sha3_256_fixed32_x2`) is
-//! deliberately **not** in any tier: two 25-word Keccak states (50 live
-//! `u64`s plus θ/ρπ temporaries) overflow the 16 general-purpose
-//! registers, and under autovectorization each pair of 64-bit rotates
-//! costs shift+shift+or against the scalar path's single `rol` — measured
-//! at 0.42–0.45x *slower* than scalar under `target-cpu=native` codegen,
-//! ~0.85–0.90x under the stock baseline. On stock-baseline codegen the wider
-//! interleaves lose to scalar too, which is why the portable tier is
-//! scalar-only; the interleaved code stays public (and identity-tested)
-//! for callers who measure a win on their own target.
+//! The portable tier selects no interleaved kernel at all: the whole
+//! batch drains through the scalar tail ([`crate::lanes`]'s one-seed
+//! prefix paths and the scalar digests). Portable autovectorized
+//! interleaves measured *below* scalar on stock-baseline codegen, and
+//! the explicit kernels rely on no build flags, so the workspace builds
+//! without `.cargo/config.toml`.
 //!
 //! # Overrides
 //!
 //! * `RBC_SIMD=portable|avx2|avx512` (env, read once) caps the detected
 //!   tier — the CI fallback leg sets `RBC_SIMD=portable` to prove the
-//!   interleaved code stays bit-identical. Unknown values are ignored.
+//!   scalar drain stays bit-identical. Unknown values are ignored.
 //! * [`force_level`] caps the tier at runtime for tests and per-ISA
 //!   benchmarks. Both overrides only ever *lower* the tier; a request for
 //!   hardware the host lacks clamps to what it has, so no path can reach
@@ -187,12 +176,8 @@ pub fn kernel_plan() -> Vec<KernelSelection> {
         SimdLevel::Avx2 => {
             vec![row("SHA-1", 8, SimdLevel::Avx2), row("SHA-3", 4, SimdLevel::Avx2)]
         }
-        // The portable interleaved kernels measured *below* scalar on
-        // stock-baseline x86-64 codegen (0.86–0.95x SHA-1, 0.77–0.90x
-        // SHA-3) once `target-cpu=native` was dropped, so the portable
-        // tier selects nothing and the whole batch drains scalar — the
-        // interleaved code remains public (and identity-tested) for
-        // callers who measure a win on their own target.
+        // No portable interleave beats scalar on stock-baseline codegen,
+        // so the portable tier selects nothing and drains scalar.
         SimdLevel::Portable => Vec::new(),
     }
 }

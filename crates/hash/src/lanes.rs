@@ -1,44 +1,27 @@
-//! Multi-lane interleaved fixed-input hashing.
+//! 64-bit digest prefixes for the search engine's prescreen, and the
+//! fixed-input cores the scalar prefix paths share.
 //!
-//! The fixed-32-byte paths ([`crate::sha1::sha1_fixed32`],
-//! [`crate::sha3::sha3_256_fixed32`]) spend most of their time in long
-//! dependency chains: each SHA-1 round needs the previous round's `a`, each
-//! Keccak step needs the full θ parity of the step before. A single message
-//! therefore leaves most superscalar issue slots empty.
+//! The prescreen compares only the first 8 digest bytes as a `u64`
+//! (little-endian over those bytes): the prefix of a digest `d` is
+//! exactly `u64::from_le_bytes(d[0..8])` — see [`sha1_prefix64_of`] /
+//! [`sha3_256_prefix64_of`]. [`sha1_fixed32_prefix64`] and
+//! [`sha3_256_fixed32_prefix64`] compute it for one seed without
+//! materializing the digest; they drain the tails of every
+//! [`crate::dispatch`] batch, and are the whole batch on the portable
+//! tier. The interleaved widths are the explicit `std::arch` kernels
+//! ([`crate::lanes_avx2`], [`crate::lanes_avx512`]).
 //!
-//! The kernels here recover that instruction-level parallelism by running
-//! `N` *independent* messages through the rounds in lockstep: every state
-//! word becomes an `[uXX; N]` array and every round operation an inner loop
-//! over lanes. The lanes never interact, so the compiler is free to keep
-//! them in separate registers (or autovectorize the inner loops — on
-//! x86-64 an `[u32; 8]` lane group is exactly one AVX2 register). No
-//! intrinsics, no `unsafe`: plain arrays and `wrapping_add`/`rotate_left`.
-//!
-//! The autovectorization payoff depends entirely on codegen flags: under
-//! the stock x86-64 baseline (SSE2) every width here measures at or
-//! below the scalar path, so [`crate::dispatch`] selects none of these
-//! kernels — its portable tier drains batches scalar, and the explicit
-//! `std::arch` kernels ([`crate::lanes_avx2`], [`crate::lanes_avx512`])
-//! carry the SIMD win instead. The interleaves remain public and
-//! identity-tested for targets that measure differently.
-//!
-//! Two output flavors are provided per algorithm:
-//!
-//! * full digests (`*_x4` / `*_x8` / `*_x2`), bit-identical to the scalar
-//!   fixed-input path, and
-//! * `*_prefix64_*` variants that return only the first 8 digest bytes as
-//!   a `u64` (little-endian over those bytes), for the search engine's
-//!   prescreen-then-confirm compare. The prefix of a digest `d` is
-//!   exactly `u64::from_le_bytes(d[0..8])` — see [`sha1_prefix64_of`] /
-//!   [`sha3_256_prefix64_of`].
+//! The word/state cores keep a lane dimension `N` (every state word an
+//! `[uXX; N]` array, every round operation an inner loop over lanes);
+//! the prefix paths run them at `N = 1`.
 
-// The lockstep kernels index several same-shaped lane arrays with one
-// loop variable; iterator rewrites would split the borrows and obscure
-// the round structure the autovectorizer needs to see.
+// The lane cores index several same-shaped lane arrays with one loop
+// variable; iterator rewrites would split the borrows and obscure the
+// round structure.
 #![allow(clippy::needless_range_loop)]
 
 use crate::keccak::{RC, RHO};
-use crate::sha1::{Sha1Digest, DIGEST_LEN as SHA1_DIGEST_LEN};
+use crate::sha1::Sha1Digest;
 use crate::sha3::Sha3_256Digest;
 use rbc_bits::U256;
 
@@ -48,12 +31,11 @@ use rbc_bits::U256;
 pub(crate) const SHA1_H0: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
 
 // ---------------------------------------------------------------------------
-// SHA-1, N-way
+// SHA-1
 // ---------------------------------------------------------------------------
 
 /// Runs the SHA-1 fixed-32-byte compression on `N` seeds in lockstep,
-/// returning the five output words (`h0..h4`) per lane. Shared core for the
-/// full-digest and prefix-only entry points.
+/// returning the five output words (`h0..h4`) per lane.
 #[inline]
 fn sha1_fixed32_words<const N: usize>(seeds: &[U256; N]) -> [[u32; 5]; N] {
     // Message schedule, lane-last so the per-round inner loops touch
@@ -120,34 +102,6 @@ fn sha1_fixed32_words<const N: usize>(seeds: &[U256; N]) -> [[u32; 5]; N] {
     out
 }
 
-/// Hashes `N` seeds with the SHA-1 fixed-input path, interleaved.
-/// Each output digest equals [`crate::sha1::sha1_fixed32`] on the
-/// corresponding seed.
-#[inline]
-pub fn sha1_fixed32_xn<const N: usize>(seeds: &[U256; N]) -> [Sha1Digest; N] {
-    let words = sha1_fixed32_words(seeds);
-    let mut out = [[0u8; SHA1_DIGEST_LEN]; N];
-    for lane in 0..N {
-        for (i, word) in words[lane].iter().enumerate() {
-            out[lane][i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
-        }
-    }
-    out
-}
-
-/// Four-way interleaved SHA-1 fixed-input hashing.
-#[inline]
-pub fn sha1_fixed32_x4(seeds: &[U256; 4]) -> [Sha1Digest; 4] {
-    sha1_fixed32_xn(seeds)
-}
-
-/// Eight-way interleaved SHA-1 fixed-input hashing (one AVX2 register of
-/// `u32` lanes when autovectorized).
-#[inline]
-pub fn sha1_fixed32_x8(seeds: &[U256; 8]) -> [Sha1Digest; 8] {
-    sha1_fixed32_xn(seeds)
-}
-
 /// The 64-bit prefix of a SHA-1 digest: `u64::from_le_bytes(d[0..8])`.
 #[inline]
 pub fn sha1_prefix64_of(d: &Sha1Digest) -> u64 {
@@ -174,31 +128,8 @@ pub fn sha1_fixed32_prefix64(seed: &U256) -> u64 {
     sha1_prefix64_from_words(words[0][0], words[0][1])
 }
 
-/// 64-bit digest prefixes of `N` seeds, interleaved.
-#[inline]
-pub fn sha1_fixed32_prefix64_xn<const N: usize>(seeds: &[U256; N]) -> [u64; N] {
-    let words = sha1_fixed32_words(seeds);
-    let mut out = [0u64; N];
-    for lane in 0..N {
-        out[lane] = sha1_prefix64_from_words(words[lane][0], words[lane][1]);
-    }
-    out
-}
-
-/// Four-way interleaved SHA-1 prefix hashing.
-#[inline]
-pub fn sha1_fixed32_prefix64_x4(seeds: &[U256; 4]) -> [u64; 4] {
-    sha1_fixed32_prefix64_xn(seeds)
-}
-
-/// Eight-way interleaved SHA-1 prefix hashing.
-#[inline]
-pub fn sha1_fixed32_prefix64_x8(seeds: &[U256; 8]) -> [u64; 8] {
-    sha1_fixed32_prefix64_xn(seeds)
-}
-
 // ---------------------------------------------------------------------------
-// SHA3-256, N-way
+// SHA3-256
 // ---------------------------------------------------------------------------
 
 /// One Keccak-f[1600] round on `N` interleaved states (layout
@@ -283,47 +214,6 @@ fn sha3_256_fixed32_state<const N: usize>(seeds: &[U256; N]) -> [[u64; 4]; N] {
     out
 }
 
-/// Hashes `N` seeds with the SHA3-256 fixed-input path, interleaved.
-/// Each output digest equals [`crate::sha3::sha3_256_fixed32`] on the
-/// corresponding seed.
-#[inline]
-pub fn sha3_256_fixed32_xn<const N: usize>(seeds: &[U256; N]) -> [Sha3_256Digest; N] {
-    let states = sha3_256_fixed32_state(seeds);
-    let mut out = [[0u8; 32]; N];
-    for lane in 0..N {
-        for i in 0..4 {
-            out[lane][i * 8..(i + 1) * 8].copy_from_slice(&states[lane][i].to_le_bytes());
-        }
-    }
-    out
-}
-
-/// Two-way interleaved SHA3-256 fixed-input hashing.
-///
-/// **Measured slower than scalar (0.42–0.45x under `target-cpu=native`
-/// codegen, ~0.85–0.90x under the stock x86-64 baseline) and therefore
-/// excluded from [`crate::dispatch`]'s kernel plan.** Two interleaved
-/// 25-word
-/// Keccak states are 50 live `u64`s before θ/ρπ temporaries — far past
-/// the 16 general-purpose registers, so every lane access round-trips
-/// through spill slots; and when the pair *is* autovectorized into a
-/// 128-bit register, each 64-bit rotate costs shift+shift+or where the
-/// scalar path pays one `rol`. The function is kept (and still tested
-/// bit-identical) as the measured counterexample `repro hash-lanes`
-/// reports — see BENCH_hash_lanes.json's `"selected": false` rows.
-#[inline]
-pub fn sha3_256_fixed32_x2(seeds: &[U256; 2]) -> [Sha3_256Digest; 2] {
-    sha3_256_fixed32_xn(seeds)
-}
-
-/// Four-way interleaved SHA3-256 fixed-input hashing (one AVX2 register of
-/// `u64` lanes when autovectorized... per pair; the 25-lane state spills,
-/// but the θ/χ inner loops still fill the vector units).
-#[inline]
-pub fn sha3_256_fixed32_x4(seeds: &[U256; 4]) -> [Sha3_256Digest; 4] {
-    sha3_256_fixed32_xn(seeds)
-}
-
 /// The 64-bit prefix of a SHA3-256 digest: `u64::from_le_bytes(d[0..8])`,
 /// which is exactly the sponge's first output lane.
 #[inline]
@@ -339,29 +229,6 @@ pub fn sha3_256_prefix64_of(d: &Sha3_256Digest) -> u64 {
 #[inline]
 pub fn sha3_256_fixed32_prefix64(seed: &U256) -> u64 {
     sha3_256_fixed32_state(&[*seed])[0][0]
-}
-
-/// 64-bit digest prefixes of `N` seeds, interleaved.
-#[inline]
-pub fn sha3_256_fixed32_prefix64_xn<const N: usize>(seeds: &[U256; N]) -> [u64; N] {
-    let states = sha3_256_fixed32_state(seeds);
-    let mut out = [0u64; N];
-    for lane in 0..N {
-        out[lane] = states[lane][0];
-    }
-    out
-}
-
-/// Two-way interleaved SHA3-256 prefix hashing.
-#[inline]
-pub fn sha3_256_fixed32_prefix64_x2(seeds: &[U256; 2]) -> [u64; 2] {
-    sha3_256_fixed32_prefix64_xn(seeds)
-}
-
-/// Four-way interleaved SHA3-256 prefix hashing.
-#[inline]
-pub fn sha3_256_fixed32_prefix64_x4(seeds: &[U256; 4]) -> [u64; 4] {
-    sha3_256_fixed32_prefix64_xn(seeds)
 }
 
 #[cfg(test)]
@@ -384,46 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn sha1_x4_matches_scalar() {
-        let s = seeds(4);
-        let batch: [U256; 4] = s.clone().try_into().unwrap();
-        let got = sha1_fixed32_x4(&batch);
-        for (i, seed) in s.iter().enumerate() {
-            assert_eq!(got[i], sha1_fixed32(seed), "lane {i}");
-        }
-    }
-
-    #[test]
-    fn sha1_x8_matches_scalar() {
-        let s = seeds(8);
-        let batch: [U256; 8] = s.clone().try_into().unwrap();
-        let got = sha1_fixed32_x8(&batch);
-        for (i, seed) in s.iter().enumerate() {
-            assert_eq!(got[i], sha1_fixed32(seed), "lane {i}");
-        }
-    }
-
-    #[test]
-    fn sha3_x2_matches_scalar() {
-        let s = seeds(2);
-        let batch: [U256; 2] = s.clone().try_into().unwrap();
-        let got = sha3_256_fixed32_x2(&batch);
-        for (i, seed) in s.iter().enumerate() {
-            assert_eq!(got[i], sha3_256_fixed32(seed), "lane {i}");
-        }
-    }
-
-    #[test]
-    fn sha3_x4_matches_scalar() {
-        let s = seeds(4);
-        let batch: [U256; 4] = s.clone().try_into().unwrap();
-        let got = sha3_256_fixed32_x4(&batch);
-        for (i, seed) in s.iter().enumerate() {
-            assert_eq!(got[i], sha3_256_fixed32(seed), "lane {i}");
-        }
-    }
-
-    #[test]
     fn sha1_prefix64_matches_digest_head() {
         for seed in seeds(16) {
             let d = sha1_fixed32(&seed);
@@ -442,35 +269,6 @@ mod tests {
             let mut first = [0u8; 8];
             first.copy_from_slice(&d[..8]);
             assert_eq!(sha3_256_prefix64_of(&d), u64::from_le_bytes(first));
-        }
-    }
-
-    #[test]
-    fn prefix_lanes_match_scalar_prefix() {
-        let s = seeds(8);
-        let b8: [U256; 8] = s.clone().try_into().unwrap();
-        let p8 = sha1_fixed32_prefix64_x8(&b8);
-        for (i, seed) in s.iter().enumerate() {
-            assert_eq!(p8[i], sha1_fixed32_prefix64(seed), "sha1 lane {i}");
-        }
-        let b4: [U256; 4] = s[..4].to_vec().try_into().unwrap();
-        let p4 = sha3_256_fixed32_prefix64_x4(&b4);
-        for (i, seed) in s[..4].iter().enumerate() {
-            assert_eq!(p4[i], sha3_256_fixed32_prefix64(seed), "sha3 lane {i}");
-        }
-    }
-
-    #[test]
-    fn duplicate_lanes_agree() {
-        // All lanes fed the same seed must produce the same digest.
-        let seed = U256::from_u64(0xABCD_EF01_2345_6789);
-        let out = sha1_fixed32_x8(&[seed; 8]);
-        for d in &out {
-            assert_eq!(*d, out[0]);
-        }
-        let out3 = sha3_256_fixed32_x4(&[seed; 4]);
-        for d in &out3 {
-            assert_eq!(*d, out3[0]);
         }
     }
 }

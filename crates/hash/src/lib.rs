@@ -23,10 +23,10 @@
 //!
 //! Batched hashing is **runtime-dispatched** over explicit SIMD kernels
 //! (see [`dispatch`]): AVX-512 (16-wide SHA-1 / 8-wide Keccak) and AVX2
-//! (8-wide / 4-wide) where the host supports them, with the portable
-//! interleaved code in [`lanes`] as the fallback everywhere else. No
-//! `-C target-cpu` build flags are required; results are bit-identical
-//! across every tier.
+//! (8-wide / 4-wide) where the host supports them, with the scalar
+//! fixed-input paths as the fallback everywhere else. No `-C target-cpu`
+//! build flags are required; results are bit-identical across every
+//! tier.
 //!
 //! `unsafe` is denied crate-wide and allowed only inside the two
 //! `std::arch` kernel modules ([`lanes_avx2`], [`lanes_avx512`]), whose
@@ -88,7 +88,7 @@ pub trait SeedHash: Clone + Send + Sync + 'static {
     /// `out[i] == digest_seed(&seeds[i])`.
     ///
     /// Default loops the scalar path; multi-lane implementations override
-    /// with interleaved kernels (see [`lanes`]).
+    /// with interleaved kernels (see [`dispatch`]).
     fn digest_batch(&self, seeds: &[U256], out: &mut Vec<Self::Digest>) {
         out.clear();
         out.extend(seeds.iter().map(|s| self.digest_seed(s)));

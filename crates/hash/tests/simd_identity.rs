@@ -128,23 +128,12 @@ proptest! {
         }
     }
 
-    /// The portable interleaved kernels (including the deliberately
-    /// unselected SHA-3 x2) agree with scalar at every width.
+    /// The one-seed prefix paths the dispatch tails drain through agree
+    /// with the head of the scalar digests.
     #[test]
-    fn portable_lane_kernels_match_scalar(entropy in 0u64..=u64::MAX) {
+    fn scalar_prefix_matches_digest_head(entropy in 0u64..=u64::MAX) {
         let seeds = expand_seeds(entropy, 8);
-        let (d1, d3, p1, p3) = scalar_reference(&seeds);
-        let g8: [U256; 8] = seeds.clone().try_into().unwrap();
-        let g4: [U256; 4] = seeds[..4].try_into().unwrap();
-        let g2: [U256; 2] = seeds[..2].try_into().unwrap();
-        prop_assert_eq!(lanes::sha1_fixed32_x8(&g8).to_vec(), d1.clone());
-        prop_assert_eq!(lanes::sha1_fixed32_x4(&g4).to_vec(), d1[..4].to_vec());
-        prop_assert_eq!(lanes::sha1_fixed32_prefix64_x8(&g8).to_vec(), p1.clone());
-        prop_assert_eq!(lanes::sha1_fixed32_prefix64_x4(&g4).to_vec(), p1[..4].to_vec());
-        prop_assert_eq!(lanes::sha3_256_fixed32_x4(&g4).to_vec(), d3[..4].to_vec());
-        prop_assert_eq!(lanes::sha3_256_fixed32_x2(&g2).to_vec(), d3[..2].to_vec());
-        prop_assert_eq!(lanes::sha3_256_fixed32_prefix64_x4(&g4).to_vec(), p3[..4].to_vec());
-        prop_assert_eq!(lanes::sha3_256_fixed32_prefix64_x2(&g2).to_vec(), p3[..2].to_vec());
+        let (_, _, p1, p3) = scalar_reference(&seeds);
         for (i, s) in seeds.iter().enumerate() {
             prop_assert_eq!(lanes::sha1_fixed32_prefix64(s), p1[i]);
             prop_assert_eq!(lanes::sha3_256_fixed32_prefix64(s), p3[i]);

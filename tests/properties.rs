@@ -53,37 +53,34 @@ proptest! {
         prop_assert_eq!(Sha3Fixed.digest_seed(&v), rbc_salted::hash::Sha3Generic.digest_seed(&v));
     }
 
+    /// The dispatcher's SHA-1 batch kernels (whatever the active tier
+    /// selects, widest first, scalar tail) agree with scalar, and their
+    /// prefixes with the head of the full digests.
     #[test]
-    fn sha1_lane_kernels_match_scalar(raw in proptest::collection::vec(any::<[u64; 4]>(), 8..9)) {
-        use rbc_salted::hash::lanes;
+    fn sha1_lane_kernels_match_scalar(raw in proptest::collection::vec(any::<[u64; 4]>(), 1..40)) {
+        use rbc_salted::hash::dispatch;
         let s: Vec<U256> = raw.into_iter().map(U256::from_limbs).collect();
         let want: Vec<_> = s.iter().map(|v| Sha1Fixed.digest_seed(v)).collect();
-        for chunk in 0..2 {
-            let lanes4: &[U256; 4] = s[chunk * 4..chunk * 4 + 4].try_into().unwrap();
-            prop_assert_eq!(&lanes::sha1_fixed32_x4(lanes4)[..], &want[chunk * 4..chunk * 4 + 4]);
-        }
-        let lanes8: &[U256; 8] = s[..8].try_into().unwrap();
-        prop_assert_eq!(&lanes::sha1_fixed32_x8(lanes8)[..], &want[..]);
-        // Prefix lanes agree with the head of the full digests.
-        let p8 = lanes::sha1_fixed32_prefix64_x8(lanes8);
-        for (p, d) in p8.iter().zip(&want) {
+        let (mut digests, mut prefixes) = (Vec::new(), Vec::new());
+        dispatch::sha1_digest_batch(&s, &mut digests);
+        prop_assert_eq!(&digests, &want);
+        dispatch::sha1_prefix64_batch(&s, &mut prefixes);
+        for (p, d) in prefixes.iter().zip(&want) {
             prop_assert_eq!(*p, u64::from_le_bytes(d[..8].try_into().unwrap()));
         }
     }
 
+    /// The same for the SHA3-256 batch kernels.
     #[test]
-    fn sha3_lane_kernels_match_scalar(raw in proptest::collection::vec(any::<[u64; 4]>(), 4..5)) {
-        use rbc_salted::hash::lanes;
+    fn sha3_lane_kernels_match_scalar(raw in proptest::collection::vec(any::<[u64; 4]>(), 1..40)) {
+        use rbc_salted::hash::dispatch;
         let s: Vec<U256> = raw.into_iter().map(U256::from_limbs).collect();
         let want: Vec<_> = s.iter().map(|v| Sha3Fixed.digest_seed(v)).collect();
-        for chunk in 0..2 {
-            let lanes2: &[U256; 2] = s[chunk * 2..chunk * 2 + 2].try_into().unwrap();
-            prop_assert_eq!(&lanes::sha3_256_fixed32_x2(lanes2)[..], &want[chunk * 2..chunk * 2 + 2]);
-        }
-        let lanes4: &[U256; 4] = s[..4].try_into().unwrap();
-        prop_assert_eq!(&lanes::sha3_256_fixed32_x4(lanes4)[..], &want[..]);
-        let p4 = lanes::sha3_256_fixed32_prefix64_x4(lanes4);
-        for (p, d) in p4.iter().zip(&want) {
+        let (mut digests, mut prefixes) = (Vec::new(), Vec::new());
+        dispatch::sha3_256_digest_batch(&s, &mut digests);
+        prop_assert_eq!(&digests, &want);
+        dispatch::sha3_256_prefix64_batch(&s, &mut prefixes);
+        for (p, d) in prefixes.iter().zip(&want) {
             prop_assert_eq!(*p, u64::from_le_bytes(d[..8].try_into().unwrap()));
         }
     }
