@@ -37,21 +37,13 @@ use rbc_gpu_sim::{gpu_salted_search, GpuKernelConfig, GpuSearchResult};
 #[derive(Clone, Debug)]
 pub struct GpuSimBackend {
     cfg: GpuKernelConfig,
-    est_rate: f64,
     clock: ClockHandle,
 }
 
 impl GpuSimBackend {
     /// A GPU-sim backend launching kernels shaped by `cfg`.
     pub fn new(cfg: GpuKernelConfig) -> Self {
-        GpuSimBackend { cfg, est_rate: 0.0, clock: wall_clock() }
-    }
-
-    /// Attaches a modelled rate (hashes/s, e.g. from
-    /// [`rbc_gpu_sim::GpuDeviceModel`]) for fastest-estimate routing.
-    pub fn with_est_rate(mut self, rate: f64) -> Self {
-        self.est_rate = rate;
-        self
+        GpuSimBackend { cfg, clock: wall_clock() }
     }
 
     /// Times jobs on `clock` instead of the wall — post-hoc deadline
@@ -73,7 +65,6 @@ impl SearchBackend for GpuSimBackend {
             kind: "gpu-sim",
             name: format!("gpu-sim(n={})", self.cfg.params.seeds_per_thread),
             slots: 1,
-            est_rate: self.est_rate,
         }
     }
 
@@ -134,21 +125,13 @@ impl SearchBackend for GpuSimBackend {
 #[derive(Clone, Debug)]
 pub struct ApuSimBackend {
     cfg: ApuSearchConfig,
-    est_rate: f64,
     clock: ClockHandle,
 }
 
 impl ApuSimBackend {
     /// An APU-sim backend over a configured device.
     pub fn new(cfg: ApuSearchConfig) -> Self {
-        ApuSimBackend { cfg, est_rate: 0.0, clock: wall_clock() }
-    }
-
-    /// Attaches a modelled rate (hashes/s, e.g. from
-    /// [`crate::ApuTimingModel`]) for fastest-estimate routing.
-    pub fn with_est_rate(mut self, rate: f64) -> Self {
-        self.est_rate = rate;
-        self
+        ApuSimBackend { cfg, clock: wall_clock() }
     }
 
     /// Times jobs on `clock` instead of the wall — post-hoc deadline
@@ -178,7 +161,6 @@ impl SearchBackend for ApuSimBackend {
             kind: "apu-sim",
             name: format!("apu-sim(pes={})", self.cfg.device.pe_count()),
             slots: 1,
-            est_rate: self.est_rate,
         }
     }
 
@@ -334,10 +316,9 @@ mod tests {
 
     #[test]
     fn descriptors_identify_the_simulators() {
-        let g = gpu().with_est_rate(2.0e9).descriptor();
+        let g = gpu().descriptor();
         assert_eq!(g.kind, "gpu-sim");
         assert_eq!(g.slots, 1);
-        assert_eq!(g.est_rate, 2.0e9);
         let a = apu(ApuHash::Sha1).descriptor();
         assert_eq!(a.kind, "apu-sim");
         assert!(a.name.contains("pes=64"));

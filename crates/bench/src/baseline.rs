@@ -114,7 +114,7 @@ fn field_f64(v: &Value, name: &str) -> Result<f64, String> {
 }
 
 /// The artifacts `repro regress` reads, in `BASELINE.json` order.
-pub const ARTIFACTS: [&str; 8] = [
+pub const ARTIFACTS: [&str; 7] = [
     "BENCH_monitor.json",
     "BENCH_attrib.json",
     "BENCH_adversarial.json",
@@ -122,7 +122,6 @@ pub const ARTIFACTS: [&str; 8] = [
     "BENCH_hash_lanes.json",
     "BENCH_telemetry.json",
     "BENCH_triage.json",
-    "BENCH_chaos.json",
 ];
 
 /// Parses whichever of [`ARTIFACTS`] exist in `dir`.

@@ -2,17 +2,17 @@
 //!
 //! ```text
 //! repro [all|table1|fig3|table4|table5|table6|fig4|table7|ablations|hash-lanes|cpu-scaling|
-//!        future|security|extensions|telemetry|triage|chaos|sim|monitor|attrib|adversarial|
-//!        regress|verify]
+//!        future|security|extensions|telemetry|triage|sim|monitor|attrib|adversarial|regress|
+//!        verify]
 //!       [--quick] [--trials N] [--full-cpu] [--smoke] [--update]
 //! ```
 //!
-//! `hash-lanes`, `telemetry`, `triage`, `chaos`, `sim`, `monitor`,
-//! `attrib` and `adversarial` each write one `BENCH_<name>.json`
-//! artifact: a list of named metrics with their `--smoke` bounds and
-//! baseline policies (DESIGN.md §11). With `--smoke` the command reads
-//! the file back, checks every bound and exits nonzero on a failure,
-//! naming the metric — the CI gates. `regress` compares the artifacts
+//! `hash-lanes`, `telemetry`, `triage`, `sim`, `monitor`, `attrib` and
+//! `adversarial` each write one `BENCH_<name>.json` artifact: a list of
+//! named metrics with their `--smoke` bounds and baseline policies
+//! (DESIGN.md §11). With `--smoke` the command reads the file back,
+//! checks every bound and exits nonzero on a failure, naming the
+//! metric — the CI gates. `regress` compares the artifacts
 //! present against the committed `BASELINE.json` with per-metric noise
 //! tolerances and exits nonzero on a regression (`--update` rewrites
 //! the baseline). `verify` checks cross-backend agreement end to end.
@@ -43,7 +43,7 @@ use rbc_core::backend::{ClusterBackend, CpuBackend, SearchBackend, SearchJob};
 use rbc_core::batch::BatchPolicy;
 use rbc_core::ca::{CaConfig, CertificateAuthority};
 use rbc_core::derive::{CipherDerive, HashDerive, PqcDerive};
-use rbc_core::dispatch::{Dispatcher, DispatcherConfig, RoutePolicy};
+use rbc_core::dispatch::{Dispatcher, DispatcherConfig};
 use rbc_core::engine::{EngineConfig, Outcome, SearchEngine, SearchMode};
 use rbc_core::protocol::{ChallengeMsg, Client, DigestMsg, HelloMsg, Verdict, VerdictMsg};
 use rbc_core::service::AuthService;
@@ -108,7 +108,6 @@ fn main() {
                 extensions(&opts);
                 telemetry(&opts);
                 triage(&opts);
-                chaos(&opts);
                 sim(&opts);
                 monitor(&opts);
                 attrib(&opts);
@@ -131,7 +130,6 @@ fn main() {
             "extensions" => extensions(&opts),
             "telemetry" => telemetry(&opts),
             "triage" => triage(&opts),
-            "chaos" => chaos(&opts),
             "sim" => sim(&opts),
             "monitor" => monitor(&opts),
             "attrib" => attrib(&opts),
@@ -147,8 +145,8 @@ fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
         "usage: repro [all|table1|fig3|table4|table5|table6|fig4|table7|ablations|hash-lanes|\
-         cpu-scaling|future|security|extensions|telemetry|triage|chaos|sim|monitor|attrib|\
-         adversarial|regress|verify] [--quick] [--trials N] [--full-cpu] [--smoke] [--update]"
+         cpu-scaling|future|security|extensions|telemetry|triage|sim|monitor|attrib|adversarial|\
+         regress|verify] [--quick] [--trials N] [--full-cpu] [--smoke] [--update]"
     );
     std::process::exit(2)
 }
@@ -879,7 +877,7 @@ fn telemetry(opts: &Opts) {
             Arc::new(ProfiledBackend::new(backend, registry.clone(), 0));
         let dispatcher = Arc::new(Dispatcher::with_registry(
             vec![profiled],
-            DispatcherConfig { queue_limit: 8, budget, policy: RoutePolicy::LeastLoaded },
+            DispatcherConfig { queue_limit: 8, budget, ..Default::default() },
             registry.clone(),
         ));
 
@@ -1018,16 +1016,17 @@ fn triage(opts: &Opts) {
         inner: CpuBackend::new(EngineConfig { threads: 1, ..Default::default() }),
         delay,
     });
+    // The degraded backend is listed first: with both idle, least-loaded
+    // routing breaks the tie on the lowest index, so the first request
+    // always lands on it and breaches its deadline — the fat tail triage
+    // exists to explain.
     let pool: Vec<Arc<dyn SearchBackend>> = vec![
-        Arc::new(ProfiledBackend::new(fast, registry.clone(), 0)),
-        Arc::new(ProfiledBackend::new(slow, registry.clone(), 1)),
+        Arc::new(ProfiledBackend::new(slow, registry.clone(), 0)),
+        Arc::new(ProfiledBackend::new(fast, registry.clone(), 1)),
     ];
-    // Round-robin deliberately keeps routing to the degraded backend
-    // even under light serial load, so the tail is reliably fat — the
-    // condition triage exists to explain.
     let dispatcher = Arc::new(Dispatcher::with_registry(
         pool,
-        DispatcherConfig { queue_limit: 16, budget, policy: RoutePolicy::RoundRobin },
+        DispatcherConfig { queue_limit: 16, budget, ..Default::default() },
         registry.clone(),
     ));
 
@@ -1147,108 +1146,6 @@ fn triage(opts: &Opts) {
         None => println!("flight recorder never froze (no deadline breach induced)"),
     }
     write_and_gate(opts, &triage_artifact(&rows, flight.frozen_trace(), dump.as_deref()));
-}
-
-/// `repro chaos`: deterministic fault-injection scenarios against the
-/// supervised backend pool. Each scenario drives the same batch of
-/// planted authentications through a 4× CPU pool; the chaos harness
-/// wraps targeted backends in [`rbc_core::ChaosBackend`] decorators
-/// (mid-sweep crash, stalled shards), and the pool's checkpoint/resume
-/// machinery must still return the correct verdict within the T = 20 s
-/// budget. Writes `BENCH_chaos.json`; with `--smoke`, validates the
-/// ≥ 95% recovery bar (the CI gate).
-fn chaos(opts: &Opts) {
-    use rbc_bench::{chaos_artifact, chaos_table, ChaosRow};
-    use rbc_core::{Fault, FaultPlan, SupervisedPool, SupervisedPoolConfig};
-
-    println!("\n== chaos: fault injection against the supervised pool (4x CPU, this host) ==");
-    let auths: u64 = if opts.quick || opts.smoke { 8 } else { 20 };
-    // T = 20 s minus nothing: the pool is local, so the whole protocol
-    // threshold is available as the per-auth recovery budget.
-    let budget = Duration::from_secs(20);
-
-    let run = |name: &str, plan: &FaultPlan| -> ChaosRow {
-        let raw: Vec<Arc<dyn SearchBackend>> = (0..4)
-            .map(|_| {
-                Arc::new(CpuBackend::new(EngineConfig { threads: 1, ..Default::default() }))
-                    as Arc<dyn SearchBackend>
-            })
-            .collect();
-        let backends = plan.apply(raw, None);
-        let pool = SupervisedPool::new(
-            backends,
-            SupervisedPoolConfig {
-                stall_timeout: Duration::from_millis(150),
-                checkpoint_interval: 512,
-                ..Default::default()
-            },
-        );
-        let mut latencies = Vec::new();
-        let mut correct = 0u64;
-        for i in 0..auths {
-            // Deterministic per-auth base/client pair: the plan's seed
-            // keys the stream, so a scenario replays exactly.
-            let mut rng = StdRng::seed_from_u64(plan.seed ^ (0xA001 + i));
-            let base = U256::random(&mut rng);
-            let client = base.random_at_distance(2, &mut rng);
-            let job = SearchJob::new(
-                HashAlgo::Sha3_256,
-                HashAlgo::Sha3_256.digest_seed(&client),
-                base,
-                3,
-            )
-            .with_deadline(budget);
-            let report = pool.submit(&job);
-            latencies.push(report.elapsed.as_secs_f64() * 1e3);
-            // Correct verdict = a found seed that re-derives the target
-            // (the client planted at d = 2 is always within max_d = 3).
-            if let Outcome::Found { seed, .. } = report.outcome {
-                if HashAlgo::Sha3_256.digest_seed(&seed) == job.target {
-                    correct += 1;
-                }
-            }
-        }
-        let snap = pool.registry().snapshot();
-        let counter = |n: &str| snap.counter(n).unwrap_or(0);
-        let mean = latencies.iter().sum::<f64>() / latencies.len().max(1) as f64;
-        let mut sorted = latencies;
-        sorted.sort_by(f64::total_cmp);
-        let p95 = sorted[((sorted.len() * 95).div_ceil(100)).saturating_sub(1)];
-        ChaosRow {
-            scenario: name.to_string(),
-            auths,
-            correct,
-            recovery_rate: correct as f64 / auths.max(1) as f64,
-            redispatches: counter("rbc_resilience_redispatches_total"),
-            faults: counter("rbc_resilience_faults_total"),
-            wasted_seeds: counter("rbc_resilience_wasted_seeds_total"),
-            breaker_opens: counter("rbc_resilience_breaker_trips_total"),
-            mean_ms: mean,
-            p95_ms: p95,
-            added_latency_ms: 0.0,
-        }
-    };
-
-    let crash_stall = FaultPlan {
-        seed: 0xD00D,
-        faults: vec![(1, Fault::Crash { at_progress: 0.5 }), (2, Fault::Stall { ms: 400 })],
-        rpc_loss: 0.0,
-    };
-    let mut rows = vec![
-        run("fault-free", &FaultPlan::fault_free()),
-        run("single-crash", &FaultPlan::default_single_crash()),
-        run("crash+stall", &crash_stall),
-    ];
-    let baseline = rows[0].mean_ms;
-    for row in rows.iter_mut().skip(1) {
-        row.added_latency_ms = (row.mean_ms - baseline).max(0.0);
-    }
-    chaos_table(&rows).print();
-    println!(
-        "(scenarios: baseline; backend 1 crashes at 50% shard progress and stays down; \
-         additionally backend 2 stalls 400 ms per shard — recovery must stay within T = 20 s)"
-    );
-    write_and_gate(opts, &chaos_artifact(&rows));
 }
 
 /// Deterministic simulation sweep: seeded fault × load × timing

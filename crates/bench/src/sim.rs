@@ -34,7 +34,8 @@
 //!
 //! Across the sweep, fault scenarios on the generous (20 s) budget must
 //! recover at least 95% of their in-bound authentications — the same
-//! bar `repro chaos` enforces on the wall clock. Results land in
+//! bar `crates/core/tests/resilience.rs` holds the wall-clock pool to.
+//! Results land in
 //! `BENCH_sim.json` from [`SweepResult::artifact`].
 
 use std::sync::Arc;
@@ -47,7 +48,7 @@ use rbc_core::backend::{CpuBackend, SearchBackend};
 use rbc_core::ca::CaConfig;
 use rbc_core::chaos::{Fault, FaultPlan};
 use rbc_core::clock::SimClock;
-use rbc_core::dispatch::{Dispatcher, DispatcherConfig, RoutePolicy};
+use rbc_core::dispatch::{Dispatcher, DispatcherConfig};
 use rbc_core::engine::EngineConfig;
 use rbc_core::pool::{SupervisedPool, SupervisedPoolConfig};
 use rbc_core::protocol::{ChallengeMsg, DigestMsg, HelloMsg, Verdict, VerdictMsg};
@@ -166,7 +167,7 @@ impl Scenario {
                 _ => Vec::new(),
             }
         };
-        FaultPlan { seed: self.seed, faults, rpc_loss: self.loss }
+        FaultPlan { seed: self.seed, faults }
     }
 
     /// Injected response noise for client `i`: mostly clean, sometimes
@@ -262,7 +263,7 @@ pub fn run_scenario(seed: u64) -> ScenarioOutcome {
     );
     let dispatcher = Arc::new(Dispatcher::with_clock(
         vec![Arc::new(pool) as Arc<dyn SearchBackend>],
-        DispatcherConfig { queue_limit: 8, budget: sc.budget(), policy: RoutePolicy::LeastLoaded },
+        DispatcherConfig { queue_limit: 8, budget: sc.budget(), ..Default::default() },
         registry.clone(),
         clock.clone(),
     ));

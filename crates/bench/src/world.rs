@@ -6,10 +6,10 @@
 //!
 //! * **The stack.** Two single-backend [`SupervisedPool`]s, each over a
 //!   1-thread [`CpuBackend`] wrapped in a [`Fault::Stall`] of 90 ms and
-//!   98 ms per job, behind a [`RoutePolicy::LeastLoaded`] [`Dispatcher`]
-//!   with a 2 s budget. The injected stalls are the searches' virtual
-//!   cost, and their lengths differ so the two substrates never park at
-//!   equal virtual targets.
+//!   98 ms per job, behind a least-loaded [`Dispatcher`] with a 2 s
+//!   budget. The injected stalls are the searches' virtual cost, and
+//!   their lengths differ so the two substrates never park at equal
+//!   virtual targets.
 //! * **The population.** A SHA-1, `max_d = 2` LightSaber CA with client
 //!   `i` enrolled from `ModelPuf::noiseless(4096, mix(seed, puf ^ i))`.
 //!   `repro sim` shares this part under [`CALM_SALTS`], behind its own
@@ -36,7 +36,7 @@ use rbc_core::backend::{CpuBackend, SearchBackend};
 use rbc_core::ca::{CaConfig, CertificateAuthority};
 use rbc_core::chaos::{ChaosBackend, Fault};
 use rbc_core::clock::{ClockHandle, SimClock};
-use rbc_core::dispatch::{Dispatcher, DispatcherConfig, RoutePolicy};
+use rbc_core::dispatch::{Dispatcher, DispatcherConfig};
 use rbc_core::engine::EngineConfig;
 use rbc_core::pool::{SupervisedPool, SupervisedPoolConfig};
 use rbc_core::protocol::Client;
@@ -440,11 +440,7 @@ impl World {
             .collect();
         let dispatcher = Arc::new(Dispatcher::with_clock(
             pools,
-            DispatcherConfig {
-                queue_limit,
-                budget: Duration::from_secs(2),
-                policy: RoutePolicy::LeastLoaded,
-            },
+            DispatcherConfig { queue_limit, budget: Duration::from_secs(2), ..Default::default() },
             self.registry.clone(),
             self.clock.clone(),
         ));

@@ -121,7 +121,7 @@ fn supervised_pool_fault_free_overhead_is_under_two_percent() {
     let pool = SupervisedPool::new(
         vec![Arc::new(CpuBackend::new(EngineConfig { threads: 1, ..Default::default() }))
             as Arc<dyn SearchBackend>],
-        SupervisedPoolConfig { shards_per_distance: 1, ..Default::default() },
+        SupervisedPoolConfig::default(),
     );
     let timed = |backend: &dyn SearchBackend| {
         let start = Instant::now();

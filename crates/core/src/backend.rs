@@ -101,11 +101,6 @@ pub struct BackendDescriptor {
     /// Jobs this backend can run concurrently before it saturates; the
     /// dispatcher keeps at most this many in flight.
     pub slots: usize,
-    /// Estimated sustained derivation rate in seeds/s for
-    /// fastest-estimate routing, from a calibrated device model
-    /// (`CpuModel`, `GpuDeviceModel`, `ApuTimingModel`); `0.0` when
-    /// unknown.
-    pub est_rate: f64,
 }
 
 /// A search substrate: anything that can run a [`SearchJob`] to a
@@ -164,7 +159,6 @@ pub trait SearchBackend: Send + Sync {
 #[derive(Clone, Debug)]
 pub struct CpuBackend {
     cfg: EngineConfig,
-    est_rate: f64,
     telemetry: Option<EngineTelemetry>,
     clock: ClockHandle,
 }
@@ -173,7 +167,7 @@ impl CpuBackend {
     /// A CPU backend running searches under `cfg`. The job's mode and
     /// deadline override the config's per submission.
     pub fn new(cfg: EngineConfig) -> Self {
-        CpuBackend { cfg, est_rate: 0.0, telemetry: None, clock: wall_clock() }
+        CpuBackend { cfg, telemetry: None, clock: wall_clock() }
     }
 
     /// Reads every search and shard timing from `clock` instead of the
@@ -182,12 +176,6 @@ impl CpuBackend {
     /// [`EngineConfig::batch`].
     pub fn with_clock(mut self, clock: ClockHandle) -> Self {
         self.clock = clock;
-        self
-    }
-
-    /// Attaches a modelled rate (seeds/s) for fastest-estimate routing.
-    pub fn with_est_rate(mut self, rate: f64) -> Self {
-        self.est_rate = rate;
         self
     }
 
@@ -212,7 +200,6 @@ impl SearchBackend for CpuBackend {
             kind: "cpu",
             name: format!("cpu(p={})", self.cfg.effective_threads()),
             slots: 1,
-            est_rate: self.est_rate,
         }
     }
 
@@ -366,19 +353,12 @@ impl SearchBackend for ProfiledBackend {
 #[derive(Clone, Debug)]
 pub struct ClusterBackend {
     cfg: ClusterConfig,
-    est_rate: f64,
 }
 
 impl ClusterBackend {
     /// A cluster backend with `cfg.nodes` worker nodes.
     pub fn new(cfg: ClusterConfig) -> Self {
-        ClusterBackend { cfg, est_rate: 0.0 }
-    }
-
-    /// Attaches a modelled rate (seeds/s) for fastest-estimate routing.
-    pub fn with_est_rate(mut self, rate: f64) -> Self {
-        self.est_rate = rate;
-        self
+        ClusterBackend { cfg }
     }
 }
 
@@ -388,7 +368,6 @@ impl SearchBackend for ClusterBackend {
             kind: "cluster",
             name: format!("cluster(nodes={})", self.cfg.nodes),
             slots: 1,
-            est_rate: self.est_rate,
         }
     }
 
@@ -512,12 +491,10 @@ mod tests {
 
     #[test]
     fn descriptors_identify_the_substrate() {
-        let cpu =
-            CpuBackend::new(EngineConfig { threads: 4, ..Default::default() }).with_est_rate(1.0e7);
+        let cpu = CpuBackend::new(EngineConfig { threads: 4, ..Default::default() });
         let d = cpu.descriptor();
         assert_eq!(d.kind, "cpu");
         assert_eq!(d.slots, cpu.capacity());
-        assert_eq!(d.est_rate, 1.0e7);
         assert!(d.name.contains("p=4"));
         assert!(cpu.supports(HashAlgo::Sha256));
 

@@ -122,15 +122,6 @@ impl PendingAuth {
     pub fn trace(&self) -> TraceContext {
         self.trace
     }
-
-    /// The difficulty class this search is billed under when it does
-    /// *not* find the seed: the CA's search bound `d`. A rejection pays
-    /// the full C(256,0..=d) exhaustion, which is why cost receipts use
-    /// this as the worst-case difficulty and swap in the found distance
-    /// only on acceptance.
-    pub fn difficulty_bound(&self) -> u32 {
-        self.job.max_d
-    }
 }
 
 /// CA-side instrumentation: the post-search acceptance work (protocol
@@ -221,24 +212,11 @@ impl<P: PqcKeyGen> CertificateAuthority<P> {
     /// searching on the in-process CPU engine configured by
     /// `cfg.engine`.
     pub fn new(db_key: [u8; 32], keygen: P, cfg: CaConfig) -> Self {
-        let backend = Arc::new(CpuBackend::new(cfg.engine.clone()));
-        Self::with_backend(db_key, keygen, cfg, backend)
-    }
-
-    /// Creates a CA that runs its searches on an explicit
-    /// [`SearchBackend`] (GPU/APU simulator, cluster, …) instead of the
-    /// default CPU engine.
-    pub fn with_backend(
-        db_key: [u8; 32],
-        keygen: P,
-        cfg: CaConfig,
-        backend: Arc<dyn SearchBackend>,
-    ) -> Self {
         CertificateAuthority {
+            backend: Arc::new(CpuBackend::new(cfg.engine.clone())),
             cfg,
             store: SealedImageStore::new(db_key),
             keygen,
-            backend,
             ra: RegistrationAuthority::default(),
             sessions: HashMap::new(),
             address_cursor: HashMap::new(),

@@ -6,8 +6,8 @@
 //! `submit` path untouched. Faults are deterministic functions of the
 //! sweep itself (progress thresholds, fixed stalls, report rewrites),
 //! so a [`FaultPlan`] with a fixed seed reproduces the same failure
-//! sequence run after run; the `repro chaos` scenario and the
-//! resilience integration tests rely on that to assert recovery rates
+//! sequence run after run; the `repro sim` fault sweep and the
+//! resilience integration test rely on that to assert recovery rates
 //! rather than merely observe them.
 //!
 //! Each injection increments [`ChaosBackend::injected`] and, when a
@@ -61,40 +61,26 @@ pub enum Fault {
     },
 }
 
-/// A reproducible assignment of faults to pool backends, plus the RPC
-/// loss rate the chaos bench applies on the network leg.
+/// A reproducible assignment of faults to pool backends.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
-    /// Seed for whatever randomness the harness layers on top (lossy
-    /// links, jittered retries) — fixing it fixes the whole failure
-    /// sequence.
+    /// Seed for whatever randomness the harness layers on top (planted
+    /// jobs, lossy links) — fixing it fixes the whole failure sequence.
     pub seed: u64,
     /// `(backend index, fault)` pairs; backends not listed run clean.
     pub faults: Vec<(usize, Fault)>,
-    /// Packet loss probability injected on RPC legs by the chaos bench.
-    pub rpc_loss: f64,
 }
 
 impl FaultPlan {
-    /// No faults at all — the baseline the chaos bench diffs against.
+    /// No faults at all — the baseline a faulted plan is compared with.
     pub fn fault_free() -> Self {
-        FaultPlan { seed: 0x5EED, faults: Vec::new(), rpc_loss: 0.0 }
+        FaultPlan { seed: 0x5EED, faults: Vec::new() }
     }
 
     /// The issue's reference scenario: in a 4-backend pool, backend 1
     /// crashes halfway through its sweep.
     pub fn default_single_crash() -> Self {
-        FaultPlan {
-            seed: 0xC0FFEE,
-            faults: vec![(1, Fault::Crash { at_progress: 0.5 })],
-            rpc_loss: 0.0,
-        }
-    }
-
-    /// Adds RPC packet loss to the plan.
-    pub fn with_rpc_loss(mut self, loss: f64) -> Self {
-        self.rpc_loss = loss;
-        self
+        FaultPlan { seed: 0xC0FFEE, faults: vec![(1, Fault::Crash { at_progress: 0.5 })] }
     }
 
     /// The fault assigned to backend `index`, if any.

@@ -11,8 +11,9 @@
 //!   shedding the excess immediately (an overload signal the service maps
 //!   to `Verdict::Overloaded` so clients retry instead of silently timing
 //!   out);
-//! * hands each admitted job to a backend chosen by a pluggable
-//!   [`RoutePolicy`] the moment one has a free slot;
+//! * hands each admitted job to the least-loaded compatible backend
+//!   (in-flight over slots, lowest pool index on a tie) the moment one
+//!   has a free slot;
 //! * derives the job's search deadline as `T` minus the time it waited in
 //!   the queue, so a slow queue never silently extends the protocol
 //!   threshold — a request that waits too long is rejected, not stretched;
@@ -32,7 +33,7 @@
 //! deadline, so no request can deadlock past its budget.
 //!
 //! The dispatcher lock guards only scheduling bookkeeping (in-flight
-//! counts, waiter count, round-robin cursor) — every invariant holds
+//! counts, waiter count) — every invariant holds
 //! between lock acquisitions, so a panic on one submitting thread must
 //! not cascade into every later authentication failing on a poisoned
 //! mutex. Lock acquisitions recover the guard with
@@ -48,18 +49,14 @@ use crate::backend::{BackendDescriptor, SearchBackend, SearchJob};
 use crate::clock::{wall_clock, ClockHandle, SIM_POLL_TICK};
 use crate::engine::SearchReport;
 
-/// How the dispatcher picks among backends with free slots.
+/// How the dispatcher picks among backends with free slots. One policy
+/// remains; the enum and [`DispatcherConfig::policy`] stay only until
+/// the benchmark package, which names them, next changes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RoutePolicy {
-    /// Cycle through the pool in order.
-    RoundRobin,
-    /// Pick the backend with the lowest in-flight/slots load.
+    /// Pick the backend with the lowest in-flight/slots load; on a tie,
+    /// the lowest pool index.
     LeastLoaded,
-    /// Pick the backend with the highest modelled rate
-    /// ([`BackendDescriptor::est_rate`], from the calibrated
-    /// `CpuModel`/device timing models); ties and unmodelled backends
-    /// fall back to least-loaded.
-    FastestEstimate,
 }
 
 /// Dispatcher policy knobs.
@@ -71,7 +68,7 @@ pub struct DispatcherConfig {
     /// Per-request budget `T` covering queue wait + search (the paper's
     /// 20 s threshold).
     pub budget: Duration,
-    /// Routing policy.
+    /// Routing policy (only [`RoutePolicy::LeastLoaded`] exists).
     pub policy: RoutePolicy,
 }
 
@@ -159,7 +156,6 @@ pub struct DispatchStats {
 struct Shared {
     in_flight: Vec<usize>,
     waiting: usize,
-    rr_next: usize,
 }
 
 /// The dispatcher's `rbc_dispatch_*` metrics: handles into the (possibly
@@ -268,7 +264,7 @@ impl Dispatcher {
             backends,
             descriptors,
             cfg,
-            shared: Mutex::new(Shared { in_flight: vec![0; n], waiting: 0, rr_next: 0 }),
+            shared: Mutex::new(Shared { in_flight: vec![0; n], waiting: 0 }),
             slot_freed: Condvar::new(),
             clock,
             started,
@@ -325,20 +321,7 @@ impl Dispatcher {
     /// deadline and the budget remaining after queue wait, so the
     /// protocol threshold `T` bounds queue wait *plus* search.
     pub fn submit(&self, job: &SearchJob) -> DispatchOutcome {
-        self.submit_arrived(job, self.clock.now())
-    }
-
-    /// [`submit`](Self::submit) for a job that first arrived at
-    /// `arrived` — the re-dispatch entry point. A retry after a backend
-    /// failure must *not* reset the budget clock: queue wait and search
-    /// time already spent on the failed dispatch count against the same
-    /// protocol threshold `T`, so the retry gets only the remainder. A
-    /// job whose budget is already gone is shed immediately.
-    pub fn resubmit(&self, job: &SearchJob, arrived: Instant) -> DispatchOutcome {
-        self.submit_arrived(job, arrived)
-    }
-
-    fn submit_arrived(&self, job: &SearchJob, arrived: Instant) -> DispatchOutcome {
+        let arrived = self.clock.now();
         let give_up = arrived + self.cfg.budget;
         let mut g = self.lock_shared();
 
@@ -346,16 +329,15 @@ impl Dispatcher {
             self.metrics.rejected.inc();
             return DispatchOutcome::Overloaded { queue_wait: Duration::ZERO };
         }
-        // A re-dispatched job may arrive with its budget already spent
-        // by the failed attempt; shed it rather than burn a slot on a
-        // zero-deadline search.
+        // A zero budget is spent on arrival; shed rather than burn a
+        // slot on a zero-deadline search.
         if self.clock.now() >= give_up {
             self.metrics.rejected.inc();
             return DispatchOutcome::Overloaded {
                 queue_wait: self.clock.now().saturating_duration_since(arrived),
             };
         }
-        let chosen = match self.pick(&mut g, job) {
+        let chosen = match self.pick(&g, job) {
             // A free slot on arrival: dispatch without queueing, no
             // admission check — the queue limit bounds *waiters* only.
             Some(i) => i,
@@ -371,7 +353,7 @@ impl Dispatcher {
                 self.metrics.queue_depth.set(g.waiting as i64);
                 self.metrics.peak_queue_depth.max(g.waiting as i64);
                 loop {
-                    if let Some(i) = self.pick(&mut g, job) {
+                    if let Some(i) = self.pick(&g, job) {
                         g.waiting -= 1;
                         self.metrics.queue_depth.set(g.waiting as i64);
                         break i;
@@ -465,34 +447,15 @@ impl Dispatcher {
         self.descriptors.get(i).map(|d| d.kind).unwrap_or("unknown")
     }
 
-    /// Picks a compatible backend with a free slot, or `None` if all are
-    /// saturated.
-    fn pick(&self, g: &mut Shared, job: &SearchJob) -> Option<usize> {
-        let n = self.backends.len();
-        let free = |i: usize, g: &Shared| {
-            g.in_flight[i] < self.descriptors[i].slots.max(1) && self.backends[i].supports(job.algo)
-        };
-        match self.cfg.policy {
-            RoutePolicy::RoundRobin => {
-                for off in 0..n {
-                    let i = (g.rr_next + off) % n;
-                    if free(i, g) {
-                        g.rr_next = (i + 1) % n;
-                        return Some(i);
-                    }
-                }
-                None
-            }
-            RoutePolicy::LeastLoaded => (0..n)
-                .filter(|&i| free(i, g))
-                .min_by(|&a, &b| self.load(g, a).total_cmp(&self.load(g, b))),
-            RoutePolicy::FastestEstimate => (0..n).filter(|&i| free(i, g)).min_by(|&a, &b| {
-                let ra = self.descriptors[a].est_rate;
-                let rb = self.descriptors[b].est_rate;
-                // Highest modelled rate first; break ties on load.
-                rb.total_cmp(&ra).then(self.load(g, a).total_cmp(&self.load(g, b)))
-            }),
-        }
+    /// Picks the least-loaded compatible backend with a free slot (the
+    /// lowest pool index on a tie), or `None` if all are saturated.
+    fn pick(&self, g: &Shared, job: &SearchJob) -> Option<usize> {
+        (0..self.backends.len())
+            .filter(|&i| {
+                g.in_flight[i] < self.descriptors[i].slots.max(1)
+                    && self.backends[i].supports(job.algo)
+            })
+            .min_by(|&a, &b| self.load(g, a).total_cmp(&self.load(g, b)))
     }
 
     fn load(&self, g: &Shared, i: usize) -> f64 {
@@ -554,7 +517,6 @@ mod tests {
                 kind: "cpu",
                 name: format!("sleep({:?})", self.delay),
                 slots: self.slots,
-                est_rate: 0.0,
             }
         }
 
@@ -582,7 +544,7 @@ mod tests {
 
     impl SearchBackend for CaptureBackend {
         fn descriptor(&self) -> BackendDescriptor {
-            BackendDescriptor { kind: "cpu", name: "capture".into(), slots: 1, est_rate: 0.0 }
+            BackendDescriptor { kind: "cpu", name: "capture".into(), slots: 1 }
         }
 
         fn submit(&self, job: &SearchJob) -> SearchReport {
@@ -640,38 +602,16 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_cycles_the_pool() {
-        let d = Dispatcher::new(
-            cpu_pool(3),
-            DispatcherConfig { policy: RoutePolicy::RoundRobin, ..Default::default() },
-        );
-        for _ in 0..6 {
-            let out = d.submit(&trivial_job());
-            assert!(matches!(out, DispatchOutcome::Completed { .. }));
-        }
-        let s = d.stats();
-        let jobs: Vec<u64> = s.per_backend.iter().map(|b| b.jobs).collect();
-        assert_eq!(jobs, vec![2, 2, 2], "round robin must balance serial arrivals");
-    }
-
-    #[test]
-    fn fastest_estimate_prefers_the_modelled_faster_backend() {
-        let slow = Arc::new(
-            CpuBackend::new(EngineConfig { threads: 1, ..Default::default() }).with_est_rate(1.0e6),
-        ) as Arc<dyn SearchBackend>;
-        let fast = Arc::new(
-            CpuBackend::new(EngineConfig { threads: 1, ..Default::default() }).with_est_rate(5.0e9),
-        ) as Arc<dyn SearchBackend>;
-        let d = Dispatcher::new(
-            vec![slow, fast],
-            DispatcherConfig { policy: RoutePolicy::FastestEstimate, ..Default::default() },
-        );
+    fn least_loaded_breaks_ties_on_the_lowest_index() {
+        // Serial arrivals find every backend idle, so each lands on
+        // backend 0 — the property `repro triage` relies on to route its
+        // first request to the degraded backend listed first.
+        let d = Dispatcher::new(cpu_pool(3), DispatcherConfig::default());
         for _ in 0..4 {
-            d.submit(&trivial_job());
+            assert!(matches!(d.submit(&trivial_job()), DispatchOutcome::Completed { .. }));
         }
-        let s = d.stats();
-        assert_eq!(s.per_backend[0].jobs, 0, "slow backend untouched while fast is free");
-        assert_eq!(s.per_backend[1].jobs, 4);
+        let jobs: Vec<u64> = d.stats().per_backend.iter().map(|b| b.jobs).collect();
+        assert_eq!(jobs, vec![4, 0, 0]);
     }
 
     #[test]
@@ -691,7 +631,7 @@ mod tests {
             DispatcherConfig {
                 queue_limit: 1,
                 budget: Duration::from_millis(60),
-                policy: RoutePolicy::LeastLoaded,
+                ..Default::default()
             },
             Arc::new(Registry::new()),
             clock.clone(),
@@ -761,7 +701,7 @@ mod tests {
             DispatcherConfig {
                 queue_limit: 4,
                 budget: Duration::from_millis(80),
-                policy: RoutePolicy::LeastLoaded,
+                ..Default::default()
             },
             Arc::new(Registry::new()),
             clock.clone(),
@@ -806,7 +746,7 @@ mod tests {
             DispatcherConfig {
                 queue_limit: 4,
                 budget: Duration::from_nanos(1),
-                policy: RoutePolicy::LeastLoaded,
+                ..Default::default()
             },
         );
         match d2.submit(&searching_job(3, 3)) {
@@ -826,7 +766,7 @@ mod tests {
         struct Sha1Only;
         impl SearchBackend for Sha1Only {
             fn descriptor(&self) -> BackendDescriptor {
-                BackendDescriptor { kind: "cpu", name: "sha1-only".into(), slots: 1, est_rate: 0.0 }
+                BackendDescriptor { kind: "cpu", name: "sha1-only".into(), slots: 1 }
             }
             fn supports(&self, algo: HashAlgo) -> bool {
                 algo == HashAlgo::Sha1
@@ -1053,67 +993,6 @@ mod tests {
         );
     }
 
-    /// Records the deadline each routed job carries.
-    struct DeadlineProbe(std::sync::Mutex<Option<Duration>>);
-
-    impl SearchBackend for DeadlineProbe {
-        fn descriptor(&self) -> BackendDescriptor {
-            BackendDescriptor { kind: "cpu", name: "probe".into(), slots: 1, est_rate: 0.0 }
-        }
-        fn submit(&self, job: &SearchJob) -> SearchReport {
-            *self.0.lock().unwrap() = job.deadline;
-            SearchReport {
-                outcome: Outcome::NotFound,
-                seeds_derived: 0,
-                elapsed: Duration::ZERO,
-                per_distance: Vec::new(),
-                algorithm: "probe",
-                threads: 1,
-                cost: None,
-                extras: Vec::new(),
-            }
-        }
-    }
-
-    #[test]
-    fn resubmit_charges_already_elapsed_time_against_the_budget() {
-        let probe = Arc::new(DeadlineProbe(std::sync::Mutex::new(None)));
-        let d = Dispatcher::new(
-            vec![probe.clone() as Arc<dyn SearchBackend>],
-            DispatcherConfig { budget: Duration::from_millis(200), ..Default::default() },
-        );
-
-        // First dispatch: the full budget flows to the backend.
-        assert!(matches!(d.submit(&trivial_job()), DispatchOutcome::Completed { .. }));
-        let first = probe.0.lock().unwrap().take().unwrap();
-        assert!(first > Duration::from_millis(150), "fresh submit keeps the budget: {first:?}");
-
-        // Re-dispatch 80 ms into the request's life: the failed
-        // attempt's elapsed time is charged, so only the remainder
-        // reaches the backend.
-        let arrived = Instant::now() - Duration::from_millis(80);
-        assert!(matches!(d.resubmit(&trivial_job(), arrived), DispatchOutcome::Completed { .. }));
-        let second = probe.0.lock().unwrap().take().unwrap();
-        assert!(
-            second < Duration::from_millis(150),
-            "re-dispatch must not reset the budget clock: {second:?}"
-        );
-        assert!(second > Duration::from_millis(60), "remaining budget flows through: {second:?}");
-    }
-
-    #[test]
-    fn resubmit_with_an_exhausted_budget_is_shed_immediately() {
-        let d = Dispatcher::new(
-            cpu_pool(1),
-            DispatcherConfig { budget: Duration::from_millis(100), ..Default::default() },
-        );
-        let arrived = Instant::now() - Duration::from_millis(300);
-        let out = d.resubmit(&trivial_job(), arrived);
-        assert!(matches!(out, DispatchOutcome::Overloaded { .. }), "{out:?}");
-        assert_eq!(d.stats().rejected, 1);
-        assert_eq!(d.stats().completed, 0);
-    }
-
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -1121,26 +1000,19 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
-            /// `budget − queue_wait` saturates for any combination of
-            /// budget, job deadline and request age, on both clocks: a
-            /// request older than its budget is shed (never a panic, and
-            /// never a negative deadline smuggled to a backend), and an
-            /// admitted request's routed deadline respects both caps.
+            /// A fresh arrival's routed deadline is the smaller of the
+            /// budget and the job's own deadline, on both clocks; a zero
+            /// budget is shed (never a zero-deadline search smuggled to
+            /// a backend).
             #[test]
-            fn routed_deadline_saturates_under_both_clocks(
+            fn routed_deadline_is_capped_by_budget_and_job_under_both_clocks(
                 budget_ms in 0u64..=200,
-                age_ms in 0u64..=400,
                 deadline_ms in 0u64..=200,
                 use_sim in any::<bool>(),
             ) {
                 let clock: ClockHandle =
                     if use_sim { SimClock::new().handle() } else { wall_clock() };
                 let _actor = clock.enter();
-                if use_sim {
-                    // Room on the fresh timeline for `arrived` to predate
-                    // it by up to the full sampled age.
-                    clock.sleep(Duration::from_millis(500));
-                }
                 let capture = Arc::new(CaptureBackend::default());
                 let d = Dispatcher::with_clock(
                     vec![capture.clone()],
@@ -1153,9 +1025,7 @@ mod tests {
                 );
                 let mut job = trivial_job();
                 job.deadline = Some(Duration::from_millis(deadline_ms));
-                let now = clock.now();
-                let arrived = now.checked_sub(Duration::from_millis(age_ms)).unwrap_or(now);
-                match d.resubmit(&job, arrived) {
+                match d.submit(&job) {
                     DispatchOutcome::Completed { queue_wait, .. } => {
                         let seen = capture
                             .seen
@@ -1168,20 +1038,18 @@ mod tests {
                         prop_assert!(seen <= cap, "routed {seen:?} beyond cap {cap:?}");
                         if use_sim {
                             // Frozen virtual time makes the arithmetic
-                            // exact: wait is the age, the deadline is the
-                            // saturating remainder clipped by the job's.
-                            prop_assert_eq!(queue_wait, Duration::from_millis(age_ms));
-                            let remaining =
-                                Duration::from_millis(budget_ms.saturating_sub(age_ms));
-                            prop_assert_eq!(seen, remaining.min(Duration::from_millis(deadline_ms)));
+                            // exact: no wait, the deadline is the cap.
+                            prop_assert_eq!(queue_wait, Duration::ZERO);
+                            prop_assert_eq!(seen, cap);
                         }
                     }
                     DispatchOutcome::Overloaded { .. } => {
-                        // Shedding is only legal once the budget is spent
-                        // (one real-clock tick of slack on the wall path).
+                        // Shedding an idle pool's arrival is only legal
+                        // once the budget is spent (one real-clock tick
+                        // of slack on the wall path).
                         prop_assert!(
-                            age_ms + u64::from(!use_sim) >= budget_ms,
-                            "shed a live request: age {age_ms} budget {budget_ms}"
+                            budget_ms <= u64::from(!use_sim),
+                            "shed a live request with budget {budget_ms}"
                         );
                     }
                 }

@@ -90,14 +90,14 @@ pub use chaos::{ChaosBackend, Fault, FaultPlan};
 pub use clock::{wall_clock, Clock, ClockHandle, SimClock, WallClock};
 pub use cluster::{cluster_search, ClusterConfig, ClusterReport};
 pub use derive::{CipherDerive, Derive, DynHashDerive, HashDerive, PqcDerive};
-pub use dispatch::{DispatchOutcome, DispatchStats, Dispatcher, DispatcherConfig, RoutePolicy};
+pub use dispatch::{DispatchOutcome, DispatchStats, Dispatcher, DispatcherConfig};
 pub use engine::{
     DistanceStats, EngineConfig, EngineTelemetry, Outcome, SearchEngine, SearchMode, SearchReport,
 };
 pub use pool::{BreakerConfig, BreakerState, SupervisedPool, SupervisedPoolConfig};
 pub use protocol::{Client, ClientId, Verdict};
 pub use salt::Salt;
-pub use service::{AuthService, ServiceConfig, ServiceStats};
+pub use service::{AuthService, ServiceStats};
 pub use shard::{
     Checkpoint, CheckpointSink, NullSink, ShardControl, ShardOutcome, ShardReport, ShardSpec,
 };

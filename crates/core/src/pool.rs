@@ -42,7 +42,6 @@ use rbc_telemetry::{Counter, EventKind, Histogram, Registry, Tracer};
 use crate::backend::{BackendDescriptor, SearchBackend, SearchJob};
 use crate::clock::{wall_clock, ClockHandle, SIM_POLL_TICK};
 use crate::derive::{Derive, DynHashDerive};
-use crate::dispatch::{Dispatcher, DispatcherConfig};
 use crate::engine::{DistanceStats, Outcome, SearchMode, SearchReport};
 use crate::shard::{Checkpoint, CheckpointSink, ShardControl, ShardOutcome, ShardSpec};
 use crate::sweep::SearchCost;
@@ -215,8 +214,6 @@ pub struct SupervisedPoolConfig {
     /// Masks between checkpoints (see
     /// [`crate::shard::DEFAULT_CHECKPOINT_INTERVAL`]).
     pub checkpoint_interval: u64,
-    /// Shards to plan per distance; 0 means one per backend.
-    pub shards_per_distance: usize,
     /// Re-dispatches allowed per shard before it is declared failed.
     pub max_redispatch: u32,
 }
@@ -228,7 +225,6 @@ impl Default for SupervisedPoolConfig {
             stall_timeout: Duration::from_millis(150),
             hedge_after: Some(Duration::from_secs(2)),
             checkpoint_interval: crate::shard::DEFAULT_CHECKPOINT_INTERVAL,
-            shards_per_distance: 0,
             max_redispatch: 3,
         }
     }
@@ -479,15 +475,6 @@ impl SupervisedPool {
         &self.clock
     }
 
-    /// Wraps the pool in a [`Dispatcher`] so the existing service layer
-    /// (queueing, shedding, budget accounting) runs unchanged on top of
-    /// the fault-tolerant substrate. The dispatcher inherits the pool's
-    /// clock, so a virtual-time pool gets a virtual-time queue.
-    pub fn into_dispatcher(self, cfg: DispatcherConfig) -> Dispatcher {
-        let clock = self.clock.clone();
-        Dispatcher::with_clock(vec![Arc::new(self)], cfg, Arc::new(Registry::new()), clock)
-    }
-
     /// Round-robin backend choice. Pass 1 wants a breaker-healthy
     /// backend outside `avoid`; pass 2 drops the avoid list; pass 3
     /// (skipped when `strict`) falls back to any supporting backend so
@@ -682,11 +669,7 @@ impl SupervisedPool {
         deadline_at: Option<Instant>,
         acc: &mut Totals,
     ) -> (SweepResult, u64) {
-        let workers = if self.cfg.shards_per_distance == 0 {
-            self.backends.len()
-        } else {
-            self.cfg.shards_per_distance
-        };
+        let workers = self.backends.len();
         let derive = DynHashDerive(job.algo);
         let early = job.mode == SearchMode::EarlyExit;
         let first = self.next_shard.fetch_add(workers as u64, Ordering::Relaxed);
@@ -1057,7 +1040,6 @@ impl SearchBackend for SupervisedPool {
             kind: "supervised",
             name: format!("supervised(n={})", self.backends.len()),
             slots: self.backends.iter().map(|b| b.descriptor().slots).sum(),
-            est_rate: self.backends.iter().map(|b| b.descriptor().est_rate).sum(),
         }
     }
 
@@ -1187,7 +1169,7 @@ mod tests {
 
     impl SearchBackend for FailingBackend {
         fn descriptor(&self) -> BackendDescriptor {
-            BackendDescriptor { kind: "test", name: "failing".into(), slots: 1, est_rate: 0.0 }
+            BackendDescriptor { kind: "test", name: "failing".into(), slots: 1 }
         }
         fn submit(&self, _job: &SearchJob) -> SearchReport {
             unreachable!("pool tests drive the shard path only")
@@ -1215,7 +1197,7 @@ mod tests {
 
     impl SearchBackend for FlakyBackend {
         fn descriptor(&self) -> BackendDescriptor {
-            BackendDescriptor { kind: "test", name: "flaky".into(), slots: 1, est_rate: 0.0 }
+            BackendDescriptor { kind: "test", name: "flaky".into(), slots: 1 }
         }
         fn submit(&self, _job: &SearchJob) -> SearchReport {
             unreachable!("pool tests drive the shard path only")
@@ -1248,7 +1230,7 @@ mod tests {
 
     impl SearchBackend for LyingBackend {
         fn descriptor(&self) -> BackendDescriptor {
-            BackendDescriptor { kind: "test", name: "lying".into(), slots: 1, est_rate: 0.0 }
+            BackendDescriptor { kind: "test", name: "lying".into(), slots: 1 }
         }
         fn submit(&self, _job: &SearchJob) -> SearchReport {
             unreachable!("pool tests drive the shard path only")
@@ -1278,7 +1260,7 @@ mod tests {
 
     impl SearchBackend for SleepyBackend {
         fn descriptor(&self) -> BackendDescriptor {
-            BackendDescriptor { kind: "test", name: "sleepy".into(), slots: 1, est_rate: 0.0 }
+            BackendDescriptor { kind: "test", name: "sleepy".into(), slots: 1 }
         }
         fn submit(&self, _job: &SearchJob) -> SearchReport {
             unreachable!("pool tests drive the shard path only")
@@ -1300,7 +1282,7 @@ mod tests {
 
     impl SearchBackend for SkewedBackend {
         fn descriptor(&self) -> BackendDescriptor {
-            BackendDescriptor { kind: "test", name: "skewed".into(), slots: 1, est_rate: 0.0 }
+            BackendDescriptor { kind: "test", name: "skewed".into(), slots: 1 }
         }
         fn submit(&self, _job: &SearchJob) -> SearchReport {
             unreachable!("pool tests drive the shard path only")
@@ -1474,7 +1456,7 @@ mod tests {
 
     impl SearchBackend for SlowPickBackend {
         fn descriptor(&self) -> BackendDescriptor {
-            BackendDescriptor { kind: "test", name: "slow-pick".into(), slots: 1, est_rate: 0.0 }
+            BackendDescriptor { kind: "test", name: "slow-pick".into(), slots: 1 }
         }
         fn supports(&self, _algo: HashAlgo) -> bool {
             self.busy.store(true, Ordering::SeqCst);
@@ -1609,20 +1591,5 @@ mod tests {
             pool.breaker_state(0) != BreakerState::Closed
                 || pool.breaker_state(1) != BreakerState::Closed
         );
-    }
-
-    #[test]
-    fn wraps_into_a_dispatcher() {
-        let base = U256::from_u64(0xBB);
-        let client = base.flip_bit(12).flip_bit(100);
-        let dispatcher = SupervisedPool::new(vec![cpu(), cpu()], fast_cfg())
-            .into_dispatcher(DispatcherConfig::default());
-        let outcome = dispatcher.submit(&job_for(&client, &base, 2));
-        match outcome {
-            crate::dispatch::DispatchOutcome::Completed { report, .. } => {
-                assert_eq!(report.outcome, Outcome::Found { seed: client, distance: 2 });
-            }
-            other => panic!("unexpected dispatch outcome: {other:?}"),
-        }
     }
 }

@@ -52,14 +52,11 @@ use rbc_telemetry::{
 
 use crate::admission::{AdmissionControl, AdmissionDecision};
 use crate::ca::{CaError, CaTelemetry, CertificateAuthority};
-use crate::dispatch::{DispatchOutcome, DispatchStats, Dispatcher, DispatcherConfig};
+use crate::dispatch::{DispatchOutcome, DispatchStats, Dispatcher};
 use crate::protocol::{ChallengeMsg, DigestMsg, HelloMsg, Verdict, VerdictMsg};
 
 #[allow(unused_imports)] // doc links
 use crate::backend::SearchJob;
-
-/// Service construction knobs (currently just the dispatcher's).
-pub type ServiceConfig = DispatcherConfig;
 
 /// Verdict counts plus the dispatcher's queue/latency statistics.
 ///
@@ -459,7 +456,7 @@ mod tests {
     use super::*;
     use crate::backend::{CpuBackend, SearchBackend};
     use crate::ca::CaConfig;
-    use crate::dispatch::RoutePolicy;
+    use crate::dispatch::DispatcherConfig;
     use crate::engine::EngineConfig;
     use crate::protocol::Client;
     use rand::rngs::StdRng;
@@ -472,7 +469,7 @@ mod tests {
     fn service_under_test(
         clients: u64,
         pool: usize,
-        cfg: ServiceConfig,
+        cfg: DispatcherConfig,
     ) -> (AuthService<LightSaber>, Vec<Client<ModelPuf>>) {
         let mut rng = StdRng::seed_from_u64(42);
         let ca_cfg = CaConfig {
@@ -499,7 +496,7 @@ mod tests {
 
     #[test]
     fn serves_concurrent_clients_and_counts_verdicts() {
-        let (service, mut clients) = service_under_test(8, 2, ServiceConfig::default());
+        let (service, mut clients) = service_under_test(8, 2, DispatcherConfig::default());
         // Client 7 carries noise beyond max_d: its verdict must be a
         // rejection, mixed in with the others' acceptances.
         clients[7].extra_noise = 6;
@@ -529,7 +526,7 @@ mod tests {
 
     #[test]
     fn every_verdict_carries_a_cost_receipt() {
-        let (service, mut clients) = service_under_test(2, 1, ServiceConfig::default());
+        let (service, mut clients) = service_under_test(2, 1, DispatcherConfig::default());
         // Client 1 is an attacker: noise beyond max_d forces the full
         // C(256,0..=3) exhaustion before the rejection.
         clients[1].extra_noise = 6;
@@ -563,10 +560,10 @@ mod tests {
 
     #[test]
     fn overload_maps_to_the_overloaded_verdict() {
-        let cfg = ServiceConfig {
+        let cfg = DispatcherConfig {
             queue_limit: 0, // any wait is a shed
             budget: Duration::from_millis(50),
-            policy: RoutePolicy::LeastLoaded,
+            ..Default::default()
         };
         let (service, clients) = service_under_test(4, 1, cfg);
         let verdicts = std::thread::scope(|s| {
@@ -602,7 +599,7 @@ mod tests {
 
     #[test]
     fn sequential_reuse_keeps_sessions_independent() {
-        let (service, clients) = service_under_test(2, 1, ServiceConfig::default());
+        let (service, clients) = service_under_test(2, 1, DispatcherConfig::default());
         let mut rng = StdRng::seed_from_u64(77);
         for round in 0..2 {
             for client in &clients {
@@ -620,7 +617,7 @@ mod tests {
 
     #[test]
     fn ca_errors_are_counted_not_lost() {
-        let (service, clients) = service_under_test(1, 1, ServiceConfig::default());
+        let (service, clients) = service_under_test(1, 1, DispatcherConfig::default());
         let mut rng = StdRng::seed_from_u64(11);
         // A digest for a session that was never opened.
         let challenge = service.begin(&clients[0].hello()).unwrap();
@@ -657,7 +654,7 @@ mod tests {
         let dispatcher = Arc::new(Dispatcher::new(
             vec![Arc::new(CpuBackend::new(EngineConfig { threads: 2, ..Default::default() }))
                 as Arc<dyn SearchBackend>],
-            ServiceConfig::default(),
+            DispatcherConfig::default(),
         ));
         let recorder = Arc::new(CollectingRecorder::new());
         let service = AuthService::with_recorder(ca, dispatcher, recorder.clone());

@@ -445,9 +445,16 @@ impl<'de> serde::Deserialize<'de> for DynDigest {
         if s.len() % 2 != 0 || s.len() > 128 {
             return Err(D::Error::custom("digest hex must be even length, at most 128 chars"));
         }
-        let bytes: Result<Vec<u8>, _> =
-            (0..s.len() / 2).map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16)).collect();
-        Ok(DynDigest::from_slice(&bytes.map_err(D::Error::custom)?))
+        // Decoded byte-wise: slicing the string in pairs would panic on
+        // a multi-byte character straddling a pair boundary.
+        let nibble = |b: u8| (b as char).to_digit(16);
+        let bytes: Option<Vec<u8>> = s
+            .as_bytes()
+            .chunks(2)
+            .map(|pair| Some((nibble(pair[0])? << 4 | nibble(pair[1])?) as u8))
+            .collect();
+        let bytes = bytes.ok_or_else(|| D::Error::custom("digest hex has a non-hex character"))?;
+        Ok(DynDigest::from_slice(&bytes))
     }
 }
 

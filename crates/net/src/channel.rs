@@ -265,4 +265,138 @@ mod tests {
             assert_eq!(b.recv::<u32>(Duration::from_secs(1)).unwrap(), i);
         }
     }
+
+    /// Hostile frames for each of the four protocol messages: whatever
+    /// arrives, `recv` returns a message or [`TransportError::Decode`] —
+    /// it never panics, and never allocates from a length header (the
+    /// header is only compared with the frame already received).
+    mod hostile {
+        use super::*;
+        use proptest::prelude::*;
+        use rbc_core::protocol::{ChallengeMsg, DigestMsg, HelloMsg, Verdict, VerdictMsg};
+        use rbc_hash::{DynDigest, HashAlgo};
+        use rbc_telemetry::TraceContext;
+        use std::fmt::Debug;
+
+        /// Delivers `raw` as one frame, bypassing `send`'s framing.
+        fn deliver<M: DeserializeOwned>(raw: &[u8]) -> Result<M, TransportError> {
+            let (a, b) = duplex(Duration::ZERO);
+            a.tx.send((Instant::now(), Bytes::copy_from_slice(raw))).expect("peer alive");
+            b.recv(Duration::from_secs(1))
+        }
+
+        fn framed(header: u32, payload: &[u8]) -> Vec<u8> {
+            let mut f = header.to_be_bytes().to_vec();
+            f.extend_from_slice(payload);
+            f
+        }
+
+        fn assert_decode_error<M: DeserializeOwned + Debug>(raw: &[u8], what: &str) {
+            match deliver::<M>(raw) {
+                Err(TransportError::Decode(_)) => {}
+                other => panic!("{what}: expected a decode error, got {other:?}"),
+            }
+        }
+
+        /// A message or a decode error; anything else (a timeout, a
+        /// disconnect) would mean the frame was lost.
+        fn assert_message_or_decode_error<M: DeserializeOwned + Debug>(raw: &[u8], what: &str) {
+            match deliver::<M>(raw) {
+                Ok(_) | Err(TransportError::Decode(_)) => {}
+                Err(e) => panic!("{what}: {e:?}"),
+            }
+        }
+
+        /// Characters spliced into a valid payload: multi-byte scalars,
+        /// JSON structure, escapes and out-of-range numbers.
+        const SPLICES: [&str; 12] =
+            ["é", "😀", "\"", "\\", "{", "]", ",", "\\u", "\\ud800", "-", "1e999", "null"];
+
+        fn hostile_frames<M>(msg: &M, noise: &[u8], at: usize, splice: usize)
+        where
+            M: Serialize + DeserializeOwned + PartialEq + Debug,
+        {
+            let payload = serde_json::to_vec(msg).expect("serializes");
+            let len = payload.len() as u32;
+            let valid = framed(len, &payload);
+            assert_eq!(&deliver::<M>(&valid).expect("a valid frame decodes"), msg);
+
+            for cut in 0..valid.len() {
+                assert_decode_error::<M>(&valid[..cut], "truncated frame");
+            }
+            for header in [0, len - 1, len + 1, len.saturating_mul(2), u32::MAX] {
+                assert_decode_error::<M>(&framed(header, &payload), "lying header");
+            }
+            assert_message_or_decode_error::<M>(noise, "random bytes");
+            assert_message_or_decode_error::<M>(
+                &framed(noise.len() as u32, noise),
+                "random payload",
+            );
+            // Every position gets a splice, rotating through the list
+            // from a per-case offset.
+            for at in 0..=payload.len() {
+                let mut spliced = payload.clone();
+                spliced.splice(at..at, SPLICES[(splice + at) % SPLICES.len()].bytes());
+                assert_message_or_decode_error::<M>(
+                    &framed(spliced.len() as u32, &spliced),
+                    "spliced payload",
+                );
+            }
+            let mut flipped = payload;
+            let i = at % flipped.len();
+            flipped[i] = noise.first().copied().unwrap_or(0xFF);
+            assert_message_or_decode_error::<M>(
+                &framed(flipped.len() as u32, &flipped),
+                "flipped byte",
+            );
+            let deep = "[".repeat(1 << 18);
+            assert_decode_error::<M>(&framed(deep.len() as u32, deep.as_bytes()), "deep nesting");
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn hostile_frames_never_panic(
+                id in any::<u64>(),
+                session in any::<u64>(),
+                trace_id in any::<u64>(),
+                digest in any::<[u8; 32]>(),
+                noise in proptest::collection::vec(any::<u8>(), 0..96),
+                at in any::<usize>(),
+                splice in 0usize..SPLICES.len(),
+                pick in 0usize..4,
+            ) {
+                let trace = TraceContext { trace_id, parent_span: session };
+                let algo = if id.is_multiple_of(2) { HashAlgo::Sha1 } else { HashAlgo::Sha3_256 };
+                let digest = DynDigest::from_slice(&digest[..algo.digest_len()]);
+                hostile_frames(&HelloMsg { client_id: id, trace }, &noise, at, splice);
+                hostile_frames(
+                    &ChallengeMsg {
+                        client_id: id,
+                        session,
+                        cells: vec![id as u32, session as u32, 7],
+                        algo,
+                        trace,
+                    },
+                    &noise,
+                    at,
+                    splice,
+                );
+                hostile_frames(
+                    &DigestMsg { client_id: id, session, digest, trace },
+                    &noise,
+                    at,
+                    splice,
+                );
+                let verdict = match pick {
+                    0 => Verdict::Accepted { distance: 2, public_key: digest.as_bytes().to_vec() },
+                    1 => Verdict::Rejected,
+                    2 => Verdict::TimedOut,
+                    _ => Verdict::Overloaded { retry_after_ms: session },
+                };
+                hostile_frames(&VerdictMsg { session, verdict, trace }, &noise, at, splice);
+            }
+        }
+    }
 }

@@ -544,7 +544,11 @@ impl<'de> Deserialize<'de> for Duration {
             let f = v.field(name).map_err(<D::Error as de::Error>::custom)?;
             f.as_u64().ok_or_else(|| de::Error::custom(format!("`{name}` must be an integer")))
         };
-        Ok(Duration::new(read("secs")?, read("nanos")? as u32))
+        // `Duration::new` panics when carried nanoseconds overflow the
+        // seconds; hostile input gets an error instead.
+        Duration::from_secs(read("secs")?)
+            .checked_add(Duration::from_nanos(read("nanos")?))
+            .ok_or_else(|| de::Error::custom("duration overflows"))
     }
 }
 
@@ -594,6 +598,13 @@ mod tests {
         assert_eq!(from_value::<Option<u32>>(&to_value(&opt).unwrap()).unwrap(), None);
         let d = Duration::new(3, 17);
         assert_eq!(from_value::<Duration>(&to_value(&d).unwrap()).unwrap(), d);
+        // Carried nanoseconds past the largest Duration: an error, not
+        // the panic `Duration::new` raises.
+        let over = Value::Object(vec![
+            ("secs".to_string(), Value::UInt(u64::MAX)),
+            ("nanos".to_string(), Value::UInt(2_000_000_000)),
+        ]);
+        assert!(from_value::<Duration>(&over).is_err());
         let big: u128 = u128::MAX - 3;
         assert_eq!(from_value::<u128>(&to_value(&big).unwrap()).unwrap(), big);
     }

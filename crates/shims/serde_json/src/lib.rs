@@ -117,14 +117,21 @@ fn write_string(out: &mut String, s: &str) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts — the real crate's
+/// recursion limit. Without one, a frame of a few hundred kilobytes of
+/// `[` overflows the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 /// Parses a complete JSON document into a [`Value`].
 pub fn parse_value(s: &str) -> Result<Value> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { text: s, bytes: s.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -178,8 +185,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(Error::custom(format!(
                 "unexpected {:?} at byte {}",
@@ -187,6 +194,19 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value> {
@@ -291,10 +311,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar from the remaining text.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|e| Error::custom(format!("invalid UTF-8: {e}")))?;
-                    let c = rest.chars().next().expect("non-empty by peek");
+                    // Consume one full UTF-8 scalar. `pos` only ever
+                    // advances by whole scalars inside a string, so it
+                    // sits on a char boundary of the (already valid) text.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| Error::custom("string split a UTF-8 scalar"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -394,5 +418,10 @@ mod tests {
         assert!(from_str::<u64>("12 34").is_err());
         assert!(from_str::<u64>("[").is_err());
         assert!(from_str::<String>("\"abc").is_err());
+        // Nesting stops at the limit, far short of the stack.
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse_value(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse_value(&nest(MAX_DEPTH + 1)).is_err());
+        assert!(parse_value(&"[{\"a\":".repeat(200_000)).is_err());
     }
 }

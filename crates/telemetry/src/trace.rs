@@ -83,12 +83,6 @@ impl TraceContext {
     pub fn is_none(&self) -> bool {
         self.trace_id == 0
     }
-
-    /// The same trace re-rooted under `parent_span` — what a finished
-    /// span hands to its children.
-    pub fn child_of(&self, parent_span: u64) -> TraceContext {
-        TraceContext { trace_id: self.trace_id, parent_span }
-    }
 }
 
 /// One finished span.

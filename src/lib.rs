@@ -71,7 +71,7 @@ pub mod prelude {
         backend::{BackendDescriptor, CpuBackend, SearchBackend, SearchJob},
         batch::{AdaptiveBatch, BatchPolicy},
         ca::{CaConfig, CertificateAuthority},
-        dispatch::{DispatchOutcome, Dispatcher, DispatcherConfig, RoutePolicy},
+        dispatch::{DispatchOutcome, Dispatcher, DispatcherConfig},
         engine::{EngineConfig, Outcome, SearchEngine, SearchMode},
         protocol::{Client, Verdict},
         service::{AuthService, ServiceStats},

@@ -40,11 +40,7 @@ fn build(
         vec![Arc::new(CpuBackend::new(EngineConfig { threads: 1, ..Default::default() }))];
     let dispatcher = Arc::new(Dispatcher::new(
         backends,
-        DispatcherConfig {
-            queue_limit: 4,
-            budget: Duration::from_secs(30),
-            policy: RoutePolicy::LeastLoaded,
-        },
+        DispatcherConfig { queue_limit: 4, budget: Duration::from_secs(30), ..Default::default() },
     ));
     let registry = Arc::new(Registry::new());
     // Deep bucket and no auto-quarantine: this test isolates the

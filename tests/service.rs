@@ -101,7 +101,7 @@ struct SlowBackend {
 
 impl SearchBackend for SlowBackend {
     fn descriptor(&self) -> BackendDescriptor {
-        BackendDescriptor { kind: "cpu", name: "slow".into(), slots: 1, est_rate: 1.0 }
+        BackendDescriptor { kind: "cpu", name: "slow".into(), slots: 1 }
     }
 
     fn submit(&self, job: &SearchJob) -> SearchReport {
@@ -134,7 +134,7 @@ fn saturation_sheds_overloaded_and_deadline_exceeded_times_out() {
     let cfg = DispatcherConfig {
         queue_limit: 1,
         budget: Duration::from_millis(50),
-        policy: RoutePolicy::LeastLoaded,
+        ..Default::default()
     };
     let backends: Vec<Arc<dyn SearchBackend>> =
         vec![Arc::new(SlowBackend { delay: Duration::from_millis(200) })];
@@ -197,7 +197,7 @@ mod books_balance {
         let cfg = DispatcherConfig {
             queue_limit,
             budget: if tiny_budget { Duration::from_nanos(1) } else { Duration::from_secs(30) },
-            policy: RoutePolicy::LeastLoaded,
+            ..Default::default()
         };
         let backends: Vec<Arc<dyn SearchBackend>> =
             vec![Arc::new(CpuBackend::new(EngineConfig { threads: 1, ..Default::default() }))];
@@ -306,19 +306,23 @@ mod books_balance {
     }
 }
 
-/// All three routing policies deliver the same verdicts for the same
-/// client population — routing changes placement, never correctness.
+/// The same client population gets the same verdicts whichever
+/// substrate runs its searches — placement changes where a search runs,
+/// never its verdict. Serial arrivals find the pool idle, so least-loaded
+/// routing puts every search on the backend listed first: the CPU in one
+/// run, the GPU simulator in the other.
 #[test]
-fn routing_policy_never_changes_verdicts() {
+fn placement_never_changes_verdicts() {
+    let cpu = || -> Arc<dyn SearchBackend> {
+        Arc::new(CpuBackend::new(EngineConfig { threads: 2, ..Default::default() }))
+    };
+    let gpu = || -> Arc<dyn SearchBackend> {
+        Arc::new(GpuSimBackend::new(GpuKernelConfig::paper_best(GpuHash::Sha3)))
+    };
     let mut all = Vec::new();
-    for policy in [RoutePolicy::RoundRobin, RoutePolicy::LeastLoaded, RoutePolicy::FastestEstimate]
-    {
-        let backends: Vec<Arc<dyn SearchBackend>> = vec![
-            Arc::new(CpuBackend::new(EngineConfig { threads: 2, ..Default::default() })),
-            Arc::new(GpuSimBackend::new(GpuKernelConfig::paper_best(GpuHash::Sha3))),
-        ];
-        let (service, mut clients) =
-            enrolled_service(4, backends, DispatcherConfig { policy, ..Default::default() });
+    for backends in [vec![cpu(), gpu()], vec![gpu(), cpu()]] {
+        let first = backends[0].descriptor().kind;
+        let (service, mut clients) = enrolled_service(4, backends, DispatcherConfig::default());
         clients[2].extra_noise = 6;
         let mut rng = StdRng::seed_from_u64(0xBEEF);
         let verdicts: Vec<_> = clients
@@ -329,8 +333,10 @@ fn routing_policy_never_changes_verdicts() {
                 service.complete(&digest).unwrap().verdict
             })
             .collect();
-        assert!(matches!(verdicts[2], Verdict::Rejected), "{policy:?}: {verdicts:?}");
+        assert!(matches!(verdicts[2], Verdict::Rejected), "{first} first: {verdicts:?}");
+        let jobs: Vec<u64> = service.stats().dispatch.per_backend.iter().map(|b| b.jobs).collect();
+        assert_eq!(jobs, [4, 0], "every search ran on the {first} backend");
         all.push(verdicts.iter().map(std::mem::discriminant).collect::<Vec<_>>());
     }
-    assert!(all.windows(2).all(|w| w[0] == w[1]), "policies disagreed on verdicts");
+    assert_eq!(all[0], all[1], "the two placements disagreed on verdicts");
 }

@@ -26,7 +26,7 @@ struct Sha1Only;
 
 impl SearchBackend for Sha1Only {
     fn descriptor(&self) -> BackendDescriptor {
-        BackendDescriptor { kind: "cpu", name: "sha1-only".into(), slots: 1, est_rate: 0.0 }
+        BackendDescriptor { kind: "cpu", name: "sha1-only".into(), slots: 1 }
     }
     fn supports(&self, algo: HashAlgo) -> bool {
         algo == HashAlgo::Sha1
