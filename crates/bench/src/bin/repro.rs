@@ -488,8 +488,8 @@ fn table7(opts: &Opts) {
     );
     println!(
         "note: the paper's AES/PQC engines were hand-optimized CUDA; our cost ratios come from this host's\n\
-         from-scratch software (no AES-NI, schoolbook/NTT PQC), so 'ours' overstates the PQC gap direction\n\
-         consistently with the paper: keygen-per-candidate is 1-4 orders slower than a hash."
+         from-scratch software (no AES-NI, schoolbook/NTT PQC), so 'ours' can miss the paper's PQC times\n\
+         either way, but agrees on the direction: keygen-per-candidate is 1-4 orders slower than a hash."
     );
 }
 

@@ -218,24 +218,64 @@ pub struct LaneMeasurement {
     pub speedup: f64,
 }
 
-/// Times `calls` invocations of `f`, each hashing `per_call` seeds.
-fn lane_rate(count: u64, per_call: u64, mut f: impl FnMut()) -> f64 {
-    let calls = (count / per_call.max(1)).max(1);
-    // Brief warmup so the first timed call doesn't pay cold caches.
-    for _ in 0..calls.div_ceil(10).min(50) {
-        f();
+/// Timing windows per measurement: every lane rate and adaptive time is
+/// the median of this many windows, and each window times every row once
+/// in turn, so a host stall spoils one window of one row rather than
+/// that row's result.
+const WINDOWS: usize = 7;
+
+/// Median of an odd-sized, non-empty sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Median over windows of `a[w] / b[w]`: a ratio of two rows timed side
+/// by side in each window.
+fn median_ratio(a: &[f64], b: &[f64]) -> f64 {
+    median(a.iter().zip(b).map(|(x, y)| x / y).collect())
+}
+
+/// One hashing path to time; `run` hashes the whole seed set once.
+struct LanePath<'a> {
+    hash: &'static str,
+    path: &'static str,
+    kernel: &'static str,
+    width: usize,
+    selected: bool,
+    run: Box<dyn FnMut() + 'a>,
+}
+
+/// Times every path in [`WINDOWS`] interleaved windows of `calls` calls
+/// (the window's first path rotates), after one untimed window each.
+/// Returns each path's per-window rates, hashing `per_call` seeds a call.
+fn interleaved_rates(paths: &mut [LanePath<'_>], calls: u64, per_call: u64) -> Vec<Vec<f64>> {
+    for p in paths.iter_mut() {
+        for _ in 0..calls {
+            (p.run)();
+        }
     }
-    let start = Instant::now();
-    for _ in 0..calls {
-        f();
+    let mut rates = vec![Vec::with_capacity(WINDOWS); paths.len()];
+    for w in 0..WINDOWS {
+        for k in 0..paths.len() {
+            let i = (k + w) % paths.len();
+            let start = Instant::now();
+            for _ in 0..calls {
+                (paths[i].run)();
+            }
+            rates[i].push((calls * per_call) as f64 / start.elapsed().as_secs_f64());
+        }
     }
-    (calls * per_call) as f64 / start.elapsed().as_secs_f64()
+    rates
 }
 
 /// Measures single-thread scalar vs SIMD fixed-32-byte hashing rates per
 /// ISA tier — the `BENCH_hash_lanes.json` payload and the
 /// `benches/batch_lanes.rs` / `repro hash-lanes` table. `count` is the
-/// approximate number of hashes per measurement.
+/// approximate number of hashes per row, split over seven
+/// interleaved windows; a row's rate is its median window and its
+/// speedup the median of its per-window ratios to the same hash's scalar
+/// row.
 ///
 /// Rows cover the scalar baseline, the AVX2 / AVX-512 `std::arch`
 /// kernels when the CPU has them, and the runtime dispatcher's own batch
@@ -255,6 +295,7 @@ pub fn measure_hash_lane_rates(count: u64) -> Vec<LaneMeasurement> {
     let seeds: Vec<U256> =
         (0..4096).map(|_| U256::from_limbs([next(), next(), next(), next()])).collect();
     let n = seeds.len() as u64;
+    let seeds = &seeds;
 
     let plan = dispatch::kernel_plan();
     let selected = |hash: &str, width: usize, kernel: SimdLevel| -> bool {
@@ -262,69 +303,87 @@ pub fn measure_hash_lane_rates(count: u64) -> Vec<LaneMeasurement> {
     };
     let widest = |hash: &str| plan.iter().filter(|s| s.algo == hash).map(|s| s.width).max();
 
-    let mut rows: Vec<LaneMeasurement> = Vec::new();
-    macro_rules! chunk_rate {
-        ($w:literal, $f:path) => {
-            lane_rate(count, n, || {
-                for c in seeds.chunks_exact($w) {
-                    std::hint::black_box($f(c.try_into().expect("exact chunk")));
-                }
+    let mut paths: Vec<LanePath<'_>> = Vec::new();
+    macro_rules! push {
+        ($hash:expr, $path:expr, $kernel:expr, $w:expr, $sel:expr, $run:expr) => {
+            paths.push(LanePath {
+                hash: $hash,
+                path: $path,
+                kernel: $kernel,
+                width: $w,
+                selected: $sel,
+                run: Box::new($run),
             })
         };
     }
-    macro_rules! push {
-        ($hash:expr, $path:expr, $kernel:expr, $w:expr, $sel:expr, $rate:expr, $scalar:expr) => {
-            rows.push(LaneMeasurement {
-                hash: $hash.into(),
-                path: $path.into(),
-                kernel: $kernel.into(),
-                width: $w,
-                selected: $sel,
-                rate: $rate,
-                speedup: $rate / $scalar,
-            })
+    macro_rules! chunked {
+        ($w:literal, $f:path) => {
+            move || {
+                for c in seeds.chunks_exact($w) {
+                    std::hint::black_box($f(c.try_into().expect("exact chunk")));
+                }
+            }
         };
     }
 
     // Scalar baselines, then every explicit SIMD tier the host can run.
-    let s1 = lane_rate(count, n, || {
-        for s in &seeds {
+    push!("SHA-1", "scalar", "scalar", 1, false, move || {
+        for s in seeds {
             std::hint::black_box(sha1_fixed32(std::hint::black_box(s)));
         }
     });
-    push!("SHA-1", "scalar", "scalar", 1, false, s1, s1);
-
-    let s3 = lane_rate(count, n, || {
-        for s in &seeds {
+    push!("SHA-3", "scalar", "scalar", 1, false, move || {
+        for s in seeds {
             std::hint::black_box(sha3_256_fixed32(std::hint::black_box(s)));
         }
     });
-    push!("SHA-3", "scalar", "scalar", 1, false, s3, s3);
 
     #[cfg(target_arch = "x86_64")]
     {
         use rbc_hash::{lanes_avx2, lanes_avx512};
         if lanes_avx2::available() {
             let l = SimdLevel::Avx2;
-            let r = chunk_rate!(8, lanes_avx2::sha1_fixed32_x8);
-            push!("SHA-1", "x8", "avx2", 8, selected("SHA-1", 8, l), r, s1);
-            let r = chunk_rate!(8, lanes_avx2::sha1_fixed32_prefix64_x8);
-            push!("SHA-1", "prefix64 x8", "avx2", 8, selected("SHA-1", 8, l), r, s1);
-            let r = chunk_rate!(4, lanes_avx2::sha3_256_fixed32_x4);
-            push!("SHA-3", "x4", "avx2", 4, selected("SHA-3", 4, l), r, s3);
-            let r = chunk_rate!(4, lanes_avx2::sha3_256_fixed32_prefix64_x4);
-            push!("SHA-3", "prefix64 x4", "avx2", 4, selected("SHA-3", 4, l), r, s3);
+            let (sel1, sel3) = (selected("SHA-1", 8, l), selected("SHA-3", 4, l));
+            push!("SHA-1", "x8", "avx2", 8, sel1, chunked!(8, lanes_avx2::sha1_fixed32_x8));
+            push!(
+                "SHA-1",
+                "prefix64 x8",
+                "avx2",
+                8,
+                sel1,
+                chunked!(8, lanes_avx2::sha1_fixed32_prefix64_x8)
+            );
+            push!("SHA-3", "x4", "avx2", 4, sel3, chunked!(4, lanes_avx2::sha3_256_fixed32_x4));
+            push!(
+                "SHA-3",
+                "prefix64 x4",
+                "avx2",
+                4,
+                sel3,
+                chunked!(4, lanes_avx2::sha3_256_fixed32_prefix64_x4)
+            );
         }
         if lanes_avx512::available() {
             let l = SimdLevel::Avx512;
-            let r = chunk_rate!(16, lanes_avx512::sha1_fixed32_x16);
-            push!("SHA-1", "x16", "avx512", 16, selected("SHA-1", 16, l), r, s1);
-            let r = chunk_rate!(16, lanes_avx512::sha1_fixed32_prefix64_x16);
-            push!("SHA-1", "prefix64 x16", "avx512", 16, selected("SHA-1", 16, l), r, s1);
-            let r = chunk_rate!(8, lanes_avx512::sha3_256_fixed32_x8);
-            push!("SHA-3", "x8", "avx512", 8, selected("SHA-3", 8, l), r, s3);
-            let r = chunk_rate!(8, lanes_avx512::sha3_256_fixed32_prefix64_x8);
-            push!("SHA-3", "prefix64 x8", "avx512", 8, selected("SHA-3", 8, l), r, s3);
+            let (sel1, sel3) = (selected("SHA-1", 16, l), selected("SHA-3", 8, l));
+            push!("SHA-1", "x16", "avx512", 16, sel1, chunked!(16, lanes_avx512::sha1_fixed32_x16));
+            push!(
+                "SHA-1",
+                "prefix64 x16",
+                "avx512",
+                16,
+                sel1,
+                chunked!(16, lanes_avx512::sha1_fixed32_prefix64_x16)
+            );
+            push!("SHA-3", "x8", "avx512", 8, sel3, chunked!(8, lanes_avx512::sha3_256_fixed32_x8));
+            push!(
+                "SHA-3",
+                "prefix64 x8",
+                "avx512",
+                8,
+                sel3,
+                chunked!(8, lanes_avx512::sha3_256_fixed32_prefix64_x8)
+            );
         }
     }
 
@@ -338,48 +397,63 @@ pub fn measure_hash_lane_rates(count: u64) -> Vec<LaneMeasurement> {
         .map(|s| s.width)
         .max()
         .unwrap_or(1);
+    let (sha1_widest, sha3_widest) = (widest("SHA-1").unwrap_or(1), widest("SHA-3").unwrap_or(1));
     let mut digests1 = Vec::with_capacity(seeds.len());
-    let r = lane_rate(count, n, || {
+    push!("SHA-1", "dispatch", active, sha1_batch_width, true, move || {
         digests1.clear();
-        dispatch::sha1_digest_batch(&seeds, &mut digests1);
+        dispatch::sha1_digest_batch(seeds, &mut digests1);
         std::hint::black_box(&digests1);
     });
-    push!("SHA-1", "dispatch", active, sha1_batch_width, true, r, s1);
-    let mut prefixes = Vec::with_capacity(seeds.len());
-    let r = lane_rate(count, n, || {
-        prefixes.clear();
-        dispatch::sha1_prefix64_batch(&seeds, &mut prefixes);
-        std::hint::black_box(&prefixes);
+    let mut prefixes1 = Vec::with_capacity(seeds.len());
+    push!("SHA-1", "dispatch prefix64", active, sha1_batch_width, true, move || {
+        prefixes1.clear();
+        dispatch::sha1_prefix64_batch(seeds, &mut prefixes1);
+        std::hint::black_box(&prefixes1);
     });
-    push!("SHA-1", "dispatch prefix64", active, sha1_batch_width, true, r, s1);
     // The prescreen over the seeds as masks; the target matches none.
     let s_init = seeds[0];
-    let mut hits = Vec::new();
-    let r = lane_rate(count, n, || {
-        dispatch::sha1_prefix_hits(&s_init, &seeds, 0, &mut hits);
-        std::hint::black_box(&hits);
+    let mut hits1 = Vec::new();
+    push!("SHA-1", "dispatch prefix_hits", active, sha1_widest, true, move || {
+        dispatch::sha1_prefix_hits(&s_init, seeds, 0, &mut hits1);
+        std::hint::black_box(&hits1);
     });
-    push!("SHA-1", "dispatch prefix_hits", active, widest("SHA-1").unwrap_or(1), true, r, s1);
     let mut digests3 = Vec::with_capacity(seeds.len());
-    let r = lane_rate(count, n, || {
+    push!("SHA-3", "dispatch", active, sha3_widest, true, move || {
         digests3.clear();
-        dispatch::sha3_256_digest_batch(&seeds, &mut digests3);
+        dispatch::sha3_256_digest_batch(seeds, &mut digests3);
         std::hint::black_box(&digests3);
     });
-    push!("SHA-3", "dispatch", active, widest("SHA-3").unwrap_or(1), true, r, s3);
-    let r = lane_rate(count, n, || {
-        prefixes.clear();
-        dispatch::sha3_256_prefix64_batch(&seeds, &mut prefixes);
-        std::hint::black_box(&prefixes);
+    let mut prefixes3 = Vec::with_capacity(seeds.len());
+    push!("SHA-3", "dispatch prefix64", active, sha3_widest, true, move || {
+        prefixes3.clear();
+        dispatch::sha3_256_prefix64_batch(seeds, &mut prefixes3);
+        std::hint::black_box(&prefixes3);
     });
-    push!("SHA-3", "dispatch prefix64", active, widest("SHA-3").unwrap_or(1), true, r, s3);
-    let r = lane_rate(count, n, || {
-        dispatch::sha3_256_prefix_hits(&s_init, &seeds, 0, &mut hits);
-        std::hint::black_box(&hits);
+    let mut hits3 = Vec::new();
+    push!("SHA-3", "dispatch prefix_hits", active, sha3_widest, true, move || {
+        dispatch::sha3_256_prefix_hits(&s_init, seeds, 0, &mut hits3);
+        std::hint::black_box(&hits3);
     });
-    push!("SHA-3", "dispatch prefix_hits", active, widest("SHA-3").unwrap_or(1), true, r, s3);
 
-    rows
+    let calls = (count / (WINDOWS as u64 * n)).max(1);
+    let rates = interleaved_rates(&mut paths, calls, n);
+    let scalar = |hash: &str| {
+        let i = paths.iter().position(|p| p.hash == hash && p.path == "scalar");
+        &rates[i.expect("every hash has a scalar row")]
+    };
+    paths
+        .iter()
+        .zip(&rates)
+        .map(|(p, r)| LaneMeasurement {
+            hash: p.hash.into(),
+            path: p.path.into(),
+            kernel: p.kernel.into(),
+            width: p.width,
+            selected: p.selected,
+            rate: median(r.clone()),
+            speedup: median_ratio(r, scalar(p.hash)),
+        })
+        .collect()
 }
 
 /// One row of the adaptive-vs-fixed batch policy comparison: early-exit
@@ -397,20 +471,24 @@ pub struct AdaptiveMeasurement {
     pub fixed_seeds: f64,
     /// Mean seeds derived per search under the adaptive policy.
     pub adaptive_seeds: f64,
-    /// Mean wall time per search under the fixed policy, milliseconds.
+    /// Mean wall time per search under the fixed policy, milliseconds
+    /// (median window).
     pub fixed_ms: f64,
-    /// Mean wall time per search under the adaptive policy, milliseconds.
+    /// Mean wall time per search under the adaptive policy, milliseconds
+    /// (median window).
     pub adaptive_ms: f64,
     /// `fixed_seeds / adaptive_seeds` — work saved by right-sizing.
     pub seed_gain: f64,
-    /// `fixed_ms / adaptive_ms` — end-to-end speedup (>1 is a win).
+    /// `fixed_ms / adaptive_ms`, the median of the per-window ratios —
+    /// end-to-end speedup (>1 is a win).
     pub time_gain: f64,
 }
 
 /// Measures the end-to-end effect of [`BatchPolicy::Adaptive`] against a
 /// fixed maximum-size batch on early-exit searches at low planted
 /// distances — where a one-refill-per-ring batch overshoots the hit.
-/// SHA-3, single thread, `trials` planted searches per (d, policy).
+/// SHA-3, single thread, `trials` planted searches per (d, policy), run
+/// in seven windows that alternate which policy goes first.
 ///
 /// [`BatchPolicy::Adaptive`]: rbc_core::batch::BatchPolicy
 pub fn measure_adaptive_batching(trials: u64) -> Vec<AdaptiveMeasurement> {
@@ -473,20 +551,30 @@ pub fn measure_adaptive_batching(trials: u64) -> Vec<AdaptiveMeasurement> {
             (seeds_total as f64 / trials as f64, ms)
         };
         // Warmup both engines (Chase tables).
-        run(&fixed);
-        run(&adaptive);
-        let (fixed_seeds, fixed_ms) = run(&fixed);
-        let (adaptive_seeds, adaptive_ms) = run(&adaptive);
+        let (fixed_seeds, _) = run(&fixed);
+        let (adaptive_seeds, _) = run(&adaptive);
+        // Seed counts are deterministic; only the times need windows.
+        let (mut fixed_ms, mut adaptive_ms) = (Vec::new(), Vec::new());
+        for w in 0..WINDOWS {
+            if w % 2 == 0 {
+                fixed_ms.push(run(&fixed).1);
+                adaptive_ms.push(run(&adaptive).1);
+            } else {
+                adaptive_ms.push(run(&adaptive).1);
+                fixed_ms.push(run(&fixed).1);
+            }
+        }
+        let adaptive_floor: Vec<f64> = adaptive_ms.iter().map(|&ms| ms.max(1e-9)).collect();
         rows.push(AdaptiveMeasurement {
             d,
             trials,
             fixed_batch,
             fixed_seeds,
             adaptive_seeds,
-            fixed_ms,
-            adaptive_ms,
+            time_gain: median_ratio(&fixed_ms, &adaptive_floor),
+            fixed_ms: median(fixed_ms),
+            adaptive_ms: median(adaptive_ms),
             seed_gain: fixed_seeds / adaptive_seeds.max(1.0),
-            time_gain: fixed_ms / adaptive_ms.max(1e-9),
         });
     }
     rows

@@ -254,7 +254,7 @@ pub fn run_scenario(seed: u64) -> ScenarioOutcome {
             ) as Arc<dyn SearchBackend>
         })
         .collect();
-    let backends = sc.fault_plan().apply_with_clock(raw, None, clock.clone());
+    let backends = sc.fault_plan().apply(raw, clock.clone());
     let pool = SupervisedPool::with_clock(
         backends,
         SupervisedPoolConfig::default(),

@@ -10,16 +10,15 @@
 //! resilience integration test rely on that to assert recovery rates
 //! rather than merely observe them.
 //!
-//! Each injection increments [`ChaosBackend::injected`] and, when a
-//! [`Tracer`] is attached, emits [`EventKind::FaultInjected`] so the
-//! flight recorder can freeze on the first fault of an incident.
+//! Each injection increments [`ChaosBackend::injected`]; the pool's
+//! `rbc_resilience_*` counters and `ShardResumed` events record what the
+//! supervisor made of it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use rbc_hash::HashAlgo;
-use rbc_telemetry::{EventKind, Tracer};
 
 use crate::backend::{BackendDescriptor, SearchBackend, SearchJob};
 use crate::clock::{wall_clock, ClockHandle};
@@ -88,36 +87,21 @@ impl FaultPlan {
         self.faults.iter().find(|(i, _)| *i == index).map(|&(_, f)| f)
     }
 
-    /// Wraps each backend that the plan targets in a [`ChaosBackend`];
-    /// untargeted backends pass through unchanged.
+    /// Wraps each backend that the plan targets in a [`ChaosBackend`]
+    /// whose injected stalls sleep on `clock` (on a virtual clock a
+    /// stall freezes simulated time, not the process); untargeted
+    /// backends pass through unchanged.
     pub fn apply(
         &self,
         backends: Vec<Arc<dyn SearchBackend>>,
-        tracer: Option<Arc<Tracer>>,
-    ) -> Vec<Arc<dyn SearchBackend>> {
-        self.apply_with_clock(backends, tracer, wall_clock())
-    }
-
-    /// [`apply`](Self::apply) with injected stalls slept on `clock`, so
-    /// a simulated fault plan freezes virtual time instead of the test
-    /// process.
-    pub fn apply_with_clock(
-        &self,
-        backends: Vec<Arc<dyn SearchBackend>>,
-        tracer: Option<Arc<Tracer>>,
         clock: ClockHandle,
     ) -> Vec<Arc<dyn SearchBackend>> {
         backends
             .into_iter()
             .enumerate()
             .map(|(i, b)| match self.fault_for(i) {
-                Some(fault) => {
-                    let mut chaos = ChaosBackend::wrap(b, fault).with_clock(clock.clone());
-                    if let Some(t) = &tracer {
-                        chaos = chaos.with_tracer(t.clone());
-                    }
-                    Arc::new(chaos) as Arc<dyn SearchBackend>
-                }
+                Some(fault) => Arc::new(ChaosBackend::wrap(b, fault).with_clock(clock.clone()))
+                    as Arc<dyn SearchBackend>,
                 None => b,
             })
             .collect()
@@ -150,7 +134,6 @@ pub struct ChaosBackend {
     fault: Fault,
     dead: AtomicBool,
     injected: AtomicU64,
-    tracer: Option<Arc<Tracer>>,
     clock: ClockHandle,
 }
 
@@ -164,16 +147,8 @@ impl ChaosBackend {
             fault,
             dead: AtomicBool::new(false),
             injected: AtomicU64::new(0),
-            tracer: None,
             clock: wall_clock(),
         }
-    }
-
-    /// Emits [`EventKind::FaultInjected`] through `tracer` on every
-    /// injection.
-    pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
-        self.tracer = Some(tracer);
-        self
     }
 
     /// Sleeps injected [`Fault::Stall`]s on `clock` instead of the wall
@@ -188,11 +163,8 @@ impl ChaosBackend {
         self.injected.load(Ordering::Relaxed)
     }
 
-    fn note_fault(&self, job: &SearchJob, detail: &'static str) {
+    fn note_fault(&self) {
         self.injected.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = &self.tracer {
-            t.event(EventKind::FaultInjected, job.trace.trace_id, detail);
-        }
     }
 }
 
@@ -220,7 +192,7 @@ impl SearchBackend for ChaosBackend {
         sink: &dyn CheckpointSink,
     ) -> ShardReport {
         if self.dead.load(Ordering::Relaxed) {
-            self.note_fault(job, "crashed backend refused shard");
+            self.note_fault();
             return ShardReport {
                 outcome: ShardOutcome::Faulted { reason: "backend down" },
                 swept: 0,
@@ -237,7 +209,7 @@ impl SearchBackend for ChaosBackend {
                     && matches!(r.outcome, ShardOutcome::Cancelled)
                 {
                     self.dead.store(true, Ordering::Relaxed);
-                    self.note_fault(job, "injected backend crash mid-shard");
+                    self.note_fault();
                     return ShardReport {
                         outcome: ShardOutcome::Faulted { reason: "injected crash" },
                         swept: r.swept,
@@ -248,7 +220,7 @@ impl SearchBackend for ChaosBackend {
                 r
             }
             Fault::Stall { ms } => {
-                self.note_fault(job, "injected backend stall");
+                self.note_fault();
                 self.clock.sleep(Duration::from_millis(ms));
                 self.inner.run_shard(job, spec, checkpoint_interval, sink)
             }
@@ -256,11 +228,11 @@ impl SearchBackend for ChaosBackend {
                 let r = self.inner.run_shard(job, spec, checkpoint_interval, sink);
                 match r.outcome {
                     ShardOutcome::Found { seed } => {
-                        self.note_fault(job, "injected corrupted found-report");
+                        self.note_fault();
                         ShardReport { outcome: ShardOutcome::Found { seed: seed.flip_bit(0) }, ..r }
                     }
                     ShardOutcome::Exhausted => {
-                        self.note_fault(job, "injected fabricated found-report");
+                        self.note_fault();
                         ShardReport {
                             outcome: ShardOutcome::Found { seed: job.s_init.flip_bit(255) },
                             ..r
@@ -277,7 +249,7 @@ impl SearchBackend for ChaosBackend {
                     skewed.deadline = Some(deadline.mul_f64(factor.max(0.0)));
                     let r = self.inner.run_shard(&skewed, spec, checkpoint_interval, sink);
                     if matches!(r.outcome, ShardOutcome::TimedOut) {
-                        self.note_fault(job, "injected clock-skewed deadline");
+                        self.note_fault();
                     }
                     r
                 }
@@ -376,7 +348,7 @@ mod tests {
     #[test]
     fn plan_wraps_only_the_targeted_backends() {
         let plan = FaultPlan::default_single_crash();
-        let wrapped = plan.apply(vec![cpu(), cpu(), cpu(), cpu()], None);
+        let wrapped = plan.apply(vec![cpu(), cpu(), cpu(), cpu()], wall_clock());
         assert_eq!(wrapped[0].descriptor().kind, "cpu");
         assert_eq!(wrapped[1].descriptor().kind, "chaos");
         assert_eq!(wrapped[2].descriptor().kind, "cpu");
@@ -389,7 +361,7 @@ mod tests {
         // pool's backends dies halfway through its shard, and the
         // supervisor re-dispatches the remainder within budget.
         let plan = FaultPlan::default_single_crash();
-        let backends = plan.apply(vec![cpu(), cpu(), cpu(), cpu()], None);
+        let backends = plan.apply(vec![cpu(), cpu(), cpu(), cpu()], wall_clock());
         let pool = SupervisedPool::new(backends, pool_cfg());
         let base = U256::from_u64(0xC2);
         // Shards are assigned round-robin, so backend 1 sweeps shard 1

@@ -22,7 +22,7 @@ use rand::SeedableRng;
 use rbc_bits::U256;
 use rbc_core::backend::{CpuBackend, SearchBackend, SearchJob};
 use rbc_core::engine::{EngineConfig, Outcome};
-use rbc_core::{Fault, FaultPlan, SupervisedPool, SupervisedPoolConfig};
+use rbc_core::{wall_clock, Fault, FaultPlan, SupervisedPool, SupervisedPoolConfig};
 use rbc_hash::HashAlgo;
 
 const AUTHS: u64 = 20;
@@ -45,7 +45,7 @@ fn recovery(plan: &FaultPlan) -> Recovery {
         })
         .collect();
     let pool = SupervisedPool::new(
-        plan.apply(raw, None),
+        plan.apply(raw, wall_clock()),
         SupervisedPoolConfig {
             stall_timeout: Duration::from_millis(150),
             // Small enough that the 50%-progress crash trigger fires

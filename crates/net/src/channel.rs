@@ -40,6 +40,11 @@ impl core::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
+/// Serializes a message into a frame's payload.
+pub(crate) fn encode<M: Serialize>(msg: &M) -> Result<Vec<u8>, TransportError> {
+    serde_json::to_vec(msg).map_err(|e| TransportError::Decode(e.to_string()))
+}
+
 /// One side of a duplex message link.
 pub struct Endpoint {
     tx: Sender<(Instant, Bytes)>,
@@ -87,10 +92,14 @@ pub fn duplex_with_clock(per_frame_latency: Duration, clock: ClockHandle) -> (En
 impl Endpoint {
     /// Serializes, frames and sends a message.
     pub fn send<M: Serialize>(&mut self, msg: &M) -> Result<(), TransportError> {
-        let payload = serde_json::to_vec(msg).map_err(|e| TransportError::Decode(e.to_string()))?;
+        self.send_payload(&encode(msg)?)
+    }
+
+    /// Frames and sends an already serialized message.
+    pub(crate) fn send_payload(&mut self, payload: &[u8]) -> Result<(), TransportError> {
         let mut frame = BytesMut::with_capacity(4 + payload.len());
         frame.put_u32(payload.len() as u32);
-        frame.put_slice(&payload);
+        frame.put_slice(payload);
         self.frames_sent += 1;
         self.bytes_sent += frame.len() as u64;
         if let Some(t) = &self.telemetry {

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use rbc_telemetry::{wall_clock, ClockHandle};
 
-use crate::channel::{duplex_with_clock, Endpoint, TransportError};
+use crate::channel::{duplex_with_clock, encode, Endpoint, TransportError};
 use crate::telemetry::NetTelemetry;
 
 /// A link that drops each frame independently with probability `loss`.
@@ -61,6 +61,11 @@ impl LossyEndpoint {
     /// Sends, possibly dropping the frame on the floor (the send still
     /// "succeeds" — the sender cannot tell, exactly like UDP).
     pub fn send<M: Serialize>(&mut self, msg: &M) -> Result<(), TransportError> {
+        self.send_payload(&encode(msg)?)
+    }
+
+    /// [`send`](Self::send) for an already serialized message.
+    fn send_payload(&mut self, payload: &[u8]) -> Result<(), TransportError> {
         if self.rng.gen::<f64>() < self.loss {
             self.dropped += 1;
             if let Some(t) = &self.telemetry {
@@ -68,7 +73,7 @@ impl LossyEndpoint {
             }
             return Ok(());
         }
-        self.inner.send(msg)
+        self.inner.send_payload(payload)
     }
 
     /// Receives the next surviving frame.
@@ -363,7 +368,9 @@ impl RpcClient {
 /// client retransmits exactly when the response was lost).
 pub struct RpcServer {
     link: LossyEndpoint,
-    last: Option<(u64, serde_json::Value)>,
+    /// The last response's sequence number and serialized envelope; a
+    /// replay resends these bytes.
+    last: Option<(u64, Vec<u8>)>,
 }
 
 impl RpcServer {
@@ -388,8 +395,7 @@ impl RpcServer {
                     if let Some((seq, cached)) = &self.last {
                         if env.seq == *seq {
                             // Duplicate: the client missed our response.
-                            let replay = Envelope { seq: *seq, body: cached.clone() };
-                            self.link.send(&replay)?;
+                            self.link.send_payload(cached)?;
                             continue;
                         }
                     }
@@ -407,10 +413,9 @@ impl RpcServer {
         seq: u64,
         resp: &Resp,
     ) -> Result<(), TransportError> {
-        let value =
-            serde_json::to_value(resp).map_err(|e| TransportError::Decode(e.to_string()))?;
-        self.link.send(&Envelope { seq, body: &value })?;
-        self.last = Some((seq, value));
+        let payload = encode(&Envelope { seq, body: resp })?;
+        self.link.send_payload(&payload)?;
+        self.last = Some((seq, payload));
         Ok(())
     }
 }

@@ -69,6 +69,27 @@ impl PqcKeyGen for LightSaber {
 mod tests {
     use super::*;
 
+    /// SHA3-256 of `LightSaber.public_key` for three fixed seeds, recorded
+    /// from the `i64` schoolbook multiply: a faster ring multiply must
+    /// leave every key byte unchanged.
+    #[test]
+    fn light_saber_public_keys_are_pinned() {
+        let pinned = [
+            (0u64, "6edfcbd719f9b759e962759903d072f9d2235bb107690afa6f89abafa0ff0ffa"),
+            (1, "a6f69d9e0520479bba0c12b8c74c8cae5cedc52d9724b65a3b5661e48a151991"),
+            (
+                0xdead_beef_cafe_f00d,
+                "c9d97a9f802388b08203358db764839ce0e598573db34931d99491639f62ca6d",
+            ),
+        ];
+        for (seed, want) in pinned {
+            let pk = LightSaber.public_key(&U256::from_u64(seed));
+            assert_eq!(pk.len(), 32 + saber::L * saber::N * 2);
+            let got: String = Sha3_256::digest(&pk).iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, want, "seed {seed:#x}");
+        }
+    }
+
     #[test]
     fn responses_deterministic_and_sensitive() {
         let a = U256::from_u64(10);

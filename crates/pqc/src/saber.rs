@@ -10,7 +10,12 @@
 //! SABER has no NTT-friendly modulus (q is a power of two); real
 //! implementations use Toom–Cook/Karatsuba and GPU ones use schoolbook in
 //! registers. We use negacyclic schoolbook — the same asymptotic work the
-//! prior-work GPU kernel performs.
+//! prior-work GPU kernel performs. Because q = 2^13 divides 2^16, the
+//! products accumulate in wrapping `u16` and one final 13-bit mask gives
+//! exactly the integer result mod q, with no widening and no sign
+//! fix-up. The `x^256 = −1` wrap is a slice offset into the doubled
+//! operand `[−b, b]`, so each of the 256 rows is one branch-free
+//! 256-term loop that the compiler vectorises.
 //!
 //! **Fidelity note:** as with Dilithium (see module docs there), the byte
 //! packing is not KAT-interoperable; dimensions, sampling and arithmetic
@@ -48,26 +53,29 @@ impl Default for PolyQ {
 
 impl PolyQ {
     /// Negacyclic schoolbook product mod `x^256 + 1`, coefficients mod q.
+    ///
+    /// Accumulates in wrapping `u16`: q = 2^13 divides 2^16, so every
+    /// coefficient mod 2^16, masked to 13 bits, is the exact integer sum
+    /// mod q. The wrap `x^256 = −1` is folded into a doubled operand
+    /// `[−b, b]`: row `i` adds `a_i · ext[N − i .. 2N − i]`, whose first
+    /// `i` entries are the negated terms past the wrap point and the
+    /// rest the direct ones. Every row is one full-length, branch-free
+    /// loop, which the compiler vectorises.
     pub fn mul(&self, other: &PolyQ) -> PolyQ {
-        let mut acc = [0i64; N];
-        for i in 0..N {
-            let a = self.c[i] as i64;
-            if a == 0 {
-                continue;
-            }
-            for j in 0..N {
-                let prod = a * other.c[j] as i64;
-                let idx = i + j;
-                if idx < N {
-                    acc[idx] += prod;
-                } else {
-                    acc[idx - N] -= prod;
-                }
+        let mut ext = [0u16; 2 * N];
+        for (j, &b) in other.c.iter().enumerate() {
+            ext[j] = b.wrapping_neg();
+            ext[N + j] = b;
+        }
+        let mut acc = [0u16; N];
+        for (i, &a) in self.c.iter().enumerate() {
+            for (o, &b) in acc.iter_mut().zip(&ext[N - i..2 * N - i]) {
+                *o = o.wrapping_add(a.wrapping_mul(b));
             }
         }
         let mut out = PolyQ::default();
         for (o, &v) in out.c.iter_mut().zip(acc.iter()) {
-            *o = (v.rem_euclid(1 << EPS_Q)) as u16;
+            *o = v & Q_MASK;
         }
         out
     }
@@ -212,6 +220,63 @@ pub fn keygen(seed: &[u8; 32]) -> (SaberPublicKey, SaberSecretKey) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The textbook product: exact `i64` sums, one branch per term and a
+    /// `rem_euclid` per coefficient — what [`PolyQ::mul`] must equal.
+    fn reference_mul(x: &PolyQ, y: &PolyQ) -> PolyQ {
+        let mut acc = [0i64; N];
+        for i in 0..N {
+            for j in 0..N {
+                let prod = x.c[i] as i64 * y.c[j] as i64;
+                if i + j < N {
+                    acc[i + j] += prod;
+                } else {
+                    acc[i + j - N] -= prod;
+                }
+            }
+        }
+        let mut out = PolyQ::default();
+        for (o, &v) in out.c.iter_mut().zip(acc.iter()) {
+            *o = v.rem_euclid(1 << EPS_Q) as u16;
+        }
+        out
+    }
+
+    fn poly(coeffs: &[u16]) -> PolyQ {
+        let mut p = PolyQ::default();
+        p.c.copy_from_slice(coeffs);
+        p
+    }
+
+    #[test]
+    fn mul_matches_reference_on_edge_cases() {
+        let top = PolyQ { c: [Q_MASK; N] };
+        let zero = PolyQ::default();
+        let mut x255 = PolyQ::default();
+        x255.c[N - 1] = 1;
+        let mut x = PolyQ::default();
+        x.c[1] = 1;
+        let mut one = PolyQ::default();
+        one.c[0] = 1;
+        let cases = [(top, top), (top, zero), (zero, top), (x255, x), (x, x255), (top, one)];
+        for (a, b) in cases {
+            assert_eq!(a.mul(&b), reference_mul(&a, &b));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn mul_matches_reference(
+            a in proptest::collection::vec(0u16..1 << EPS_Q, N..N + 1),
+            b in proptest::collection::vec(0u16..1 << EPS_Q, N..N + 1),
+        ) {
+            let (a, b) = (poly(&a), poly(&b));
+            prop_assert_eq!(a.mul(&b), reference_mul(&a, &b));
+        }
+    }
 
     #[test]
     fn keygen_is_deterministic() {

@@ -213,25 +213,36 @@ pub trait Deserialize<'de>: Sized {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error>;
 }
 
-/// Source for the deserialization data model: anything that can produce an
-/// owned [`Value`].
+/// Source for the deserialization data model: a [`Value`] tree, borrowed.
+///
+/// Every impl reads through [`as_value`](Deserializer::as_value), so a
+/// nested message is walked in place; only `Value`'s own `Deserialize`
+/// takes an owned copy, through [`into_value`](Deserializer::into_value).
 pub trait Deserializer<'de>: Sized {
     /// Error type, constructible from a message.
     type Error: de::Error;
 
-    /// Produces the underlying value tree.
-    fn into_value(self) -> Result<Value, Self::Error>;
+    /// Borrows the underlying value tree.
+    fn as_value(&self) -> &Value;
+
+    /// Produces the underlying value tree, owned.
+    fn into_value(self) -> Result<Value, Self::Error> {
+        Ok(self.as_value().clone())
+    }
 }
 
 impl<'de, 'a> Deserializer<'de> for &'a Value {
     type Error = Error;
-    fn into_value(self) -> Result<Value, Error> {
-        Ok(self.clone())
+    fn as_value(&self) -> &Value {
+        self
     }
 }
 
 impl<'de> Deserializer<'de> for Value {
     type Error = Error;
+    fn as_value(&self) -> &Value {
+        self
+    }
     fn into_value(self) -> Result<Value, Error> {
         Ok(self)
     }
@@ -308,7 +319,7 @@ macro_rules! impl_serde_uint {
         }
         impl<'de> Deserialize<'de> for $t {
             fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-                let v = d.into_value()?;
+                let v = d.as_value();
                 let u = v.as_u64().ok_or_else(|| {
                     de::Error::custom(format!(
                         "expected unsigned integer, found {}", v.kind()
@@ -333,7 +344,7 @@ macro_rules! impl_serde_int {
         }
         impl<'de> Deserialize<'de> for $t {
             fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-                let v = d.into_value()?;
+                let v = d.as_value();
                 let i = v.as_i64().ok_or_else(|| {
                     de::Error::custom(format!("expected integer, found {}", v.kind()))
                 })?;
@@ -360,7 +371,7 @@ impl Serialize for u128 {
 
 impl<'de> Deserialize<'de> for u128 {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let v = d.into_value()?;
+        let v = d.as_value();
         if let Some(u) = v.as_u64() {
             return Ok(u as u128);
         }
@@ -379,7 +390,7 @@ impl Serialize for bool {
 
 impl<'de> Deserialize<'de> for bool {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let v = d.into_value()?;
+        let v = d.as_value();
         v.as_bool().ok_or_else(|| de::Error::custom(format!("expected bool, found {}", v.kind())))
     }
 }
@@ -392,7 +403,7 @@ impl Serialize for f64 {
 
 impl<'de> Deserialize<'de> for f64 {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let v = d.into_value()?;
+        let v = d.as_value();
         v.as_f64().ok_or_else(|| de::Error::custom(format!("expected number, found {}", v.kind())))
     }
 }
@@ -405,7 +416,7 @@ impl Serialize for f32 {
 
 impl<'de> Deserialize<'de> for f32 {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let v = d.into_value()?;
+        let v = d.as_value();
         v.as_f64()
             .map(|f| f as f32)
             .ok_or_else(|| de::Error::custom(format!("expected number, found {}", v.kind())))
@@ -426,7 +437,7 @@ impl Serialize for str {
 
 impl<'de> Deserialize<'de> for String {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let v = d.into_value()?;
+        let v = d.as_value();
         v.as_str()
             .map(str::to_string)
             .ok_or_else(|| de::Error::custom(format!("expected string, found {}", v.kind())))
@@ -444,11 +455,11 @@ impl<T: Serialize> Serialize for Option<T> {
 
 impl<'de, T: Deserialize<'de>> Deserialize<'de> for Option<T> {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let v = d.into_value()?;
+        let v = d.as_value();
         if matches!(v, Value::Null) {
             return Ok(None);
         }
-        from_value(&v).map(Some).map_err(de::Error::custom)
+        from_value(v).map(Some).map_err(de::Error::custom)
     }
 }
 
@@ -467,7 +478,7 @@ impl<T: Serialize> Serialize for [T] {
 
 impl<'de, T: Deserialize<'de>> Deserialize<'de> for Vec<T> {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let v = d.into_value()?;
+        let v = d.as_value();
         let items = v
             .as_array()
             .ok_or_else(|| de::Error::custom(format!("expected array, found {}", v.kind())))?;
@@ -505,7 +516,7 @@ macro_rules! impl_serde_tuple {
         }
         impl<'de, $($name: Deserialize<'de>),+> Deserialize<'de> for ($($name,)+) {
             fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-                let v = d.into_value()?;
+                let v = d.as_value();
                 let items = v.as_array().ok_or_else(|| {
                     de::Error::custom(format!("expected tuple array, found {}", v.kind()))
                 })?;
@@ -539,7 +550,7 @@ impl Serialize for Duration {
 
 impl<'de> Deserialize<'de> for Duration {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let v = d.into_value()?;
+        let v = d.as_value();
         let read = |name: &str| -> Result<u64, D::Error> {
             let f = v.field(name).map_err(<D::Error as de::Error>::custom)?;
             f.as_u64().ok_or_else(|| de::Error::custom(format!("`{name}` must be an integer")))

@@ -325,11 +325,11 @@ fn gen_struct_to_value(fields: &Fields) -> String {
     }
 }
 
-/// Expression rebuilding `Self` from `&__value` for a struct.
+/// Expression rebuilding `Self` from `__value: &Value` for a struct.
 fn gen_struct_from_value(name: &str, fields: &Fields) -> String {
     match fields {
-        Fields::Unit => format!("{{ let _ = &__value; {name} }}"),
-        Fields::Tuple(1) => format!("{name}(::serde::from_value(&__value)?)"),
+        Fields::Unit => format!("{{ let _ = __value; {name} }}"),
+        Fields::Tuple(1) => format!("{name}(::serde::from_value(__value)?)"),
         Fields::Tuple(n) => {
             let items: Vec<String> =
                 (0..*n).map(|i| format!("::serde::from_value(&__items[{i}])?")).collect();
@@ -395,7 +395,7 @@ fn gen_enum_to_value(name: &str, variants: &[Variant]) -> String {
     format!("match self {{ {} }}", arms.join(" "))
 }
 
-/// Statement block rebuilding `Self` from `&__value` for an enum.
+/// Statement block rebuilding `Self` from `__value: &Value` for an enum.
 fn gen_enum_from_value(name: &str, variants: &[Variant]) -> String {
     // Unit variants arrive as a bare string.
     let unit_arms: Vec<String> = variants
@@ -440,7 +440,7 @@ fn gen_enum_from_value(name: &str, variants: &[Variant]) -> String {
     let mut body = String::new();
     if !unit_arms.is_empty() {
         body.push_str(&format!(
-            "if let ::serde::Value::Str(__s) = &__value {{ \
+            "if let ::serde::Value::Str(__s) = __value {{ \
                  match __s.as_str() {{ {} _ => {{}} }} \
              }} ",
             unit_arms.join(" ")
@@ -514,7 +514,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
         "impl{decls} ::serde::Deserialize<'de> for {name}{args} {{ \
              fn deserialize<__D: ::serde::Deserializer<'de>>(__deserializer: __D) \
                  -> ::core::result::Result<Self, __D::Error> {{ \
-                 let __value = ::serde::Deserializer::into_value(__deserializer)?; \
+                 let __value = ::serde::Deserializer::as_value(&__deserializer); \
                  (|| -> ::core::result::Result<Self, ::serde::Error> {{ \
                      {body} \
                  }})().map_err(|__e| <__D::Error as ::serde::de::Error>::custom(__e)) \

@@ -6,6 +6,8 @@
 
 pub use serde::{Error, Value};
 
+use std::fmt::Write as _;
+
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
@@ -56,8 +58,10 @@ fn write_value(out: &mut String, v: &Value) {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
+        // Formatted in place: no `String` per number (a public key is a
+        // thousand of them).
+        Value::Int(i) => write!(out, "{i}").expect("a String takes every write"),
+        Value::UInt(u) => write!(out, "{u}").expect("a String takes every write"),
         Value::Float(f) => {
             if f.is_finite() {
                 out.push_str(&f.to_string());

@@ -39,9 +39,8 @@ fn kind_bit(kind: EventKind) -> u32 {
         EventKind::DeadlineBreach => 1 << 1,
         EventKind::PrefixExhausted => 1 << 2,
         EventKind::Retransmit => 1 << 3,
-        EventKind::FaultInjected => 1 << 4,
-        EventKind::ShardResumed => 1 << 5,
-        EventKind::SloBurn => 1 << 6,
+        EventKind::ShardResumed => 1 << 4,
+        EventKind::SloBurn => 1 << 5,
     }
 }
 

@@ -123,10 +123,6 @@ pub enum EventKind {
     PrefixExhausted,
     /// A link-level retransmission (stop-and-wait or RPC).
     Retransmit,
-    /// The chaos harness injected a fault (crash, stall, corruption,
-    /// clock skew) into a backend — recorded so post-mortems can tell
-    /// induced failures from organic ones.
-    FaultInjected,
     /// A supervised shard was re-dispatched from its last checkpoint to
     /// a healthy backend after its original backend faulted or stalled.
     ShardResumed,
@@ -144,7 +140,6 @@ impl EventKind {
             EventKind::DeadlineBreach => "deadline_breach",
             EventKind::PrefixExhausted => "prefix_exhausted",
             EventKind::Retransmit => "retransmit",
-            EventKind::FaultInjected => "fault_injected",
             EventKind::ShardResumed => "shard_resumed",
             EventKind::SloBurn => "slo_burn",
         }

@@ -87,10 +87,16 @@ fn table7_cost_ordering_holds_on_this_host() {
         start.elapsed().as_nanos() as f64 / n as f64
     }
 
-    let sha3 = per_candidate_nanos(HashDerive(Sha3Fixed), 20_000);
-    let aes = per_candidate_nanos(CipherDerive(AesResponse), 20_000);
-    let saber = per_candidate_nanos(PqcDerive(LightSaber), 30);
-    let dilithium = per_candidate_nanos(PqcDerive(Dilithium3), 30);
+    // Each cost is its fastest of 7 interleaved rounds: the other tests
+    // of this binary run beside this one, and a round they overlap
+    // reads slow on whichever side it happens to time.
+    let (mut sha3, mut aes, mut saber, mut dilithium) = (f64::MAX, f64::MAX, f64::MAX, f64::MAX);
+    for _ in 0..7 {
+        sha3 = sha3.min(per_candidate_nanos(HashDerive(Sha3Fixed), 20_000));
+        aes = aes.min(per_candidate_nanos(CipherDerive(AesResponse), 20_000));
+        saber = saber.min(per_candidate_nanos(PqcDerive(LightSaber), 30));
+        dilithium = dilithium.min(per_candidate_nanos(PqcDerive(Dilithium3), 30));
+    }
 
     // PQC keygen must be ≥ 2 orders of magnitude above the hash; the
     // symmetric cipher within one order.
