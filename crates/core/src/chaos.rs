@@ -10,11 +10,10 @@
 //! resilience integration test rely on that to assert recovery rates
 //! rather than merely observe them.
 //!
-//! Each injection increments [`ChaosBackend::injected`]; the pool's
-//! `rbc_resilience_*` counters and `ShardResumed` events record what the
-//! supervisor made of it.
+//! The pool's `rbc_resilience_*` counters and `ShardResumed` events
+//! record what the supervisor made of each injection.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -133,7 +132,6 @@ pub struct ChaosBackend {
     inner: Arc<dyn SearchBackend>,
     fault: Fault,
     dead: AtomicBool,
-    injected: AtomicU64,
     clock: ClockHandle,
 }
 
@@ -142,13 +140,7 @@ impl ChaosBackend {
     /// receives (a latched [`Fault::Crash`] fails all attempts after
     /// the first).
     pub fn wrap(inner: Arc<dyn SearchBackend>, fault: Fault) -> Self {
-        ChaosBackend {
-            inner,
-            fault,
-            dead: AtomicBool::new(false),
-            injected: AtomicU64::new(0),
-            clock: wall_clock(),
-        }
+        ChaosBackend { inner, fault, dead: AtomicBool::new(false), clock: wall_clock() }
     }
 
     /// Sleeps injected [`Fault::Stall`]s on `clock` instead of the wall
@@ -156,15 +148,6 @@ impl ChaosBackend {
     pub fn with_clock(mut self, clock: ClockHandle) -> Self {
         self.clock = clock;
         self
-    }
-
-    /// Faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-
-    fn note_fault(&self) {
-        self.injected.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -192,7 +175,6 @@ impl SearchBackend for ChaosBackend {
         sink: &dyn CheckpointSink,
     ) -> ShardReport {
         if self.dead.load(Ordering::Relaxed) {
-            self.note_fault();
             return ShardReport {
                 outcome: ShardOutcome::Faulted { reason: "backend down" },
                 swept: 0,
@@ -209,7 +191,6 @@ impl SearchBackend for ChaosBackend {
                     && matches!(r.outcome, ShardOutcome::Cancelled)
                 {
                     self.dead.store(true, Ordering::Relaxed);
-                    self.note_fault();
                     return ShardReport {
                         outcome: ShardOutcome::Faulted { reason: "injected crash" },
                         swept: r.swept,
@@ -220,7 +201,6 @@ impl SearchBackend for ChaosBackend {
                 r
             }
             Fault::Stall { ms } => {
-                self.note_fault();
                 self.clock.sleep(Duration::from_millis(ms));
                 self.inner.run_shard(job, spec, checkpoint_interval, sink)
             }
@@ -228,16 +208,12 @@ impl SearchBackend for ChaosBackend {
                 let r = self.inner.run_shard(job, spec, checkpoint_interval, sink);
                 match r.outcome {
                     ShardOutcome::Found { seed } => {
-                        self.note_fault();
                         ShardReport { outcome: ShardOutcome::Found { seed: seed.flip_bit(0) }, ..r }
                     }
-                    ShardOutcome::Exhausted => {
-                        self.note_fault();
-                        ShardReport {
-                            outcome: ShardOutcome::Found { seed: job.s_init.flip_bit(255) },
-                            ..r
-                        }
-                    }
+                    ShardOutcome::Exhausted => ShardReport {
+                        outcome: ShardOutcome::Found { seed: job.s_init.flip_bit(255) },
+                        ..r
+                    },
                     // Cancelled / timed-out / faulted attempts report
                     // nothing worth corrupting.
                     _ => r,
@@ -247,11 +223,7 @@ impl SearchBackend for ChaosBackend {
                 Some(deadline) => {
                     let mut skewed = job.clone();
                     skewed.deadline = Some(deadline.mul_f64(factor.max(0.0)));
-                    let r = self.inner.run_shard(&skewed, spec, checkpoint_interval, sink);
-                    if matches!(r.outcome, ShardOutcome::TimedOut) {
-                        self.note_fault();
-                    }
-                    r
+                    self.inner.run_shard(&skewed, spec, checkpoint_interval, sink)
                 }
                 None => self.inner.run_shard(job, spec, checkpoint_interval, sink),
             },
@@ -302,12 +274,10 @@ mod tests {
         assert!(matches!(r.outcome, ShardOutcome::Faulted { .. }), "got {:?}", r.outcome);
         let frac = r.swept as f64 / spec.count as f64;
         assert!((0.4..0.7).contains(&frac), "crashed at {frac:.2} of the shard");
-        assert_eq!(chaos.injected(), 1);
         // The backend stays down for every later attempt.
         let r2 = chaos.run_shard(&job, &spec, 512, &NullSink);
         assert!(matches!(r2.outcome, ShardOutcome::Faulted { .. }));
         assert_eq!(r2.swept, 0);
-        assert_eq!(chaos.injected(), 2);
     }
 
     #[test]
@@ -321,7 +291,6 @@ mod tests {
             }
             other => panic!("expected a fabricated find, got {other:?}"),
         }
-        assert_eq!(chaos.injected(), 1);
     }
 
     #[test]
@@ -331,7 +300,26 @@ mod tests {
         let chaos = ChaosBackend::wrap(cpu(), Fault::ClockSkew { factor: 0.0 });
         let r = chaos.run_shard(&job, &spec, 512, &NullSink);
         assert_eq!(r.outcome, ShardOutcome::TimedOut);
-        assert_eq!(chaos.injected(), 1);
+    }
+
+    #[test]
+    fn the_pool_books_every_injected_fault_and_still_answers() {
+        let (mut job, _) = absent_job();
+        job.deadline = Some(Duration::from_secs(20));
+        for fault in [
+            Fault::Crash { at_progress: 0.5 },
+            Fault::CorruptReport,
+            Fault::ClockSkew { factor: 0.0 },
+        ] {
+            let backends = vec![Arc::new(ChaosBackend::wrap(cpu(), fault)) as _, cpu()];
+            let pool = SupervisedPool::new(backends, pool_cfg());
+            assert_eq!(pool.submit(&job).outcome, Outcome::NotFound, "{fault:?}");
+            let snap = pool.registry().snapshot();
+            assert!(snap.counter("rbc_resilience_faults_total").unwrap() >= 1, "{fault:?}");
+            if fault == Fault::CorruptReport {
+                assert!(snap.counter("rbc_resilience_verify_failures_total").unwrap() >= 1);
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! each Hamming distance is statically partitioned into `p` near-equal
 //! contiguous ranges, one per thread (`n = C(256, d)/p` seeds each), and
 //! distances are searched in increasing order so the minimal-distance match
-//! is found first.
+//! is found first. A distance whose space is smaller than [`INLINE_GRAIN`]
+//! (only `d = 1`'s 256 masks), and every distance when `p = 1`, runs as one
+//! stream on the calling thread: spawning threads would cost more than the
+//! hashing they split.
 //!
 //! **The hot path is batched**: each worker runs the crate's one search
 //! loop ([`crate::sweep`]) over its mask stream, in batches sized by
@@ -28,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rbc_bits::U256;
-use rbc_comb::{plan_streams, ChaseTable, SeedIterKind};
+use rbc_comb::{binomial, plan_streams, ChaseTable, MaskStream, SeedIterKind};
 use rbc_telemetry::{Counter, Registry};
 
 use crate::batch::BatchPolicy;
@@ -49,7 +52,9 @@ pub enum SearchMode {
 /// Engine configuration (Table 2's notation: `p` threads).
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Worker threads `p`; 0 means use all available cores.
+    /// Worker threads `p`; 0 means use all available cores. Distances
+    /// with fewer than [`INLINE_GRAIN`] masks (only `d = 1`) run on the
+    /// calling thread whatever `p` is.
     pub threads: usize,
     /// Seed-iteration method (§3.2.1).
     pub iter: SeedIterKind,
@@ -212,6 +217,22 @@ impl EngineTelemetry {
     }
 }
 
+/// Smallest mask space worth splitting across threads (a work-splitting
+/// grain size). `C(256, 1) = 256` masks hash in ~20 µs of SHA-3 on one
+/// core, well under a thread spawn per worker; `C(256, 2) = 32,640` take
+/// milliseconds and split.
+pub const INLINE_GRAIN: u128 = 10_000;
+
+/// Streams distance `d` is split into when the engine runs `threads`
+/// workers: one (the calling thread) below [`INLINE_GRAIN`].
+fn workers_at(d: u32, threads: usize) -> usize {
+    if binomial(256, d) < INLINE_GRAIN {
+        1
+    } else {
+        threads
+    }
+}
+
 // Stop-flag states.
 const RUNNING: u8 = 0;
 const FOUND: u8 = 1;
@@ -267,7 +288,7 @@ impl<D: Derive> SearchEngine<D> {
         }
         let threads = self.cfg.effective_threads();
         for d in 0..=max_d {
-            ChaseTable::shared(d, threads);
+            ChaseTable::shared(d, workers_at(d, threads));
         }
     }
 
@@ -331,30 +352,34 @@ impl<D: Derive> SearchEngine<D> {
             }
 
             let d_start = clock.now();
-            let streams = plan_streams(self.cfg.iter, d, threads);
+            let workers = workers_at(d, threads);
+            let mut streams = plan_streams(self.cfg.iter, d, workers);
             // One policy resolution per distance: the batch size every
             // worker at this distance uses.
-            let batch = self.cfg.batch.resolve(d, threads);
+            let batch = self.cfg.batch.resolve(d, workers);
             let stop =
                 EngineStop { d, early, flag: &flag, found: &found, deadline, clock, telemetry };
             let derive = &self.derive;
+            let run = move |mut masks: MaskStream| {
+                let mut stop = stop;
+                sweep(derive, target, s_init, &mut masks, batch, telemetry, &mut stop)
+            };
             let mut d_seeds = 0u64;
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = streams
-                    .into_iter()
-                    .map(|mut masks| {
-                        let mut stop = stop;
-                        scope.spawn(move || {
-                            sweep(derive, target, s_init, &mut masks, batch, telemetry, &mut stop)
-                        })
-                    })
-                    .collect();
-                for worker in workers {
-                    let (swept, worker_cost) = worker.join().expect("search worker panicked");
-                    d_seeds += swept;
-                    cost += worker_cost;
-                }
-            });
+            if workers == 1 {
+                let (swept, worker_cost) = run(streams.pop().expect("one planned stream"));
+                d_seeds += swept;
+                cost += worker_cost;
+            } else {
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> =
+                        streams.into_iter().map(|masks| scope.spawn(move || run(masks))).collect();
+                    for handle in handles {
+                        let (swept, worker_cost) = handle.join().expect("search worker panicked");
+                        d_seeds += swept;
+                        cost += worker_cost;
+                    }
+                });
+            }
             total_seeds += d_seeds;
             per_distance.push(DistanceStats {
                 d,
@@ -729,6 +754,78 @@ mod tests {
             .with_telemetry(EngineTelemetry::register(&Registry::new()))
             .search(&target, &base, 2);
         assert_eq!(plain.outcome, instrumented.outcome);
+    }
+
+    #[test]
+    fn small_distances_derive_on_the_calling_thread() {
+        use std::collections::HashSet;
+        use std::thread::ThreadId;
+
+        /// Records the thread of every derivation; never matches.
+        #[derive(Clone, Default)]
+        struct Threads(Arc<Mutex<HashSet<ThreadId>>>);
+        impl Derive for Threads {
+            type Out = u64;
+            fn name(&self) -> &'static str {
+                "threads"
+            }
+            fn derive(&self, _seed: &U256) -> u64 {
+                self.0.lock().insert(std::thread::current().id());
+                u64::MAX
+            }
+        }
+        let caller = std::thread::current().id();
+        for (max_d, threads) in [(1, 2), (2, 1)] {
+            let seen = Threads::default();
+            let eng = SearchEngine::new(
+                seen.clone(),
+                EngineConfig { threads, mode: SearchMode::Exhaustive, ..Default::default() },
+            );
+            let report = eng.search(&0, &U256::from_u64(5), max_d);
+            assert_eq!(report.outcome, Outcome::NotFound);
+            assert_eq!(*seen.0.lock(), HashSet::from([caller]), "d ≤ {max_d}, p = {threads}");
+        }
+        // d = 2 on two threads splits across spawned workers.
+        let seen = Threads::default();
+        SearchEngine::new(seen.clone(), EngineConfig { threads: 2, ..Default::default() }).search(
+            &0,
+            &U256::from_u64(5),
+            2,
+        );
+        let seen = seen.0.lock();
+        assert_eq!(seen.len(), 3, "the caller plus two workers");
+        assert!(seen.contains(&caller));
+    }
+
+    #[test]
+    fn thread_counts_agree_for_every_iterator() {
+        let base = U256::from_limbs([41, 42, 43, 44]);
+        for iter in SeedIterKind::ALL {
+            for bits in [vec![77usize], vec![6, 250]] {
+                let client = seed_at(&base, &bits);
+                let target = Sha3Fixed.digest_seed(&client);
+                let distance = bits.len() as u32;
+                for threads in [1usize, 2, 4] {
+                    let run = |mode| {
+                        SearchEngine::new(
+                            HashDerive(Sha3Fixed),
+                            EngineConfig { threads, iter, mode, ..Default::default() },
+                        )
+                        .search(&target, &base, 2)
+                    };
+                    let early = run(SearchMode::EarlyExit);
+                    assert_eq!(
+                        early.outcome,
+                        Outcome::Found { seed: client, distance },
+                        "{iter} p={threads}"
+                    );
+                    let full = run(SearchMode::Exhaustive);
+                    let seeds: Vec<u64> = full.per_distance.iter().map(|s| s.seeds).collect();
+                    assert_eq!(seeds, [1, 256, 32_640], "{iter} p={threads}");
+                    assert_eq!(full.outcome, early.outcome, "{iter} p={threads}");
+                }
+            }
+        }
     }
 
     #[test]

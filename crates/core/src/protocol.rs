@@ -78,7 +78,9 @@ pub enum Verdict {
     Accepted {
         /// Hamming distance at which the seed was recovered.
         distance: u32,
-        /// The client's new public key, as registered with the RA.
+        /// The client's new public key, as registered with the RA; on
+        /// the wire, one lowercase hex string.
+        #[serde(with = "rbc_hash::hex")]
         public_key: Vec<u8>,
     },
     /// No seed within the search bound matched.

@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod dispatch;
+pub mod hex;
 pub mod hmac;
 pub mod keccak;
 pub mod lanes;
@@ -416,7 +417,7 @@ impl DynDigest {
 
     /// Lowercase hex rendering.
     pub fn to_hex(&self) -> String {
-        self.as_bytes().iter().map(|b| format!("{b:02x}")).collect()
+        hex::encode(self.as_bytes())
     }
 }
 
@@ -434,26 +435,17 @@ impl AsRef<[u8]> for DynDigest {
 
 impl serde::Serialize for DynDigest {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(&self.to_hex())
+        hex::serialize(self.as_bytes(), serializer)
     }
 }
 
 impl<'de> serde::Deserialize<'de> for DynDigest {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         use serde::de::Error;
-        let s = String::deserialize(deserializer)?;
-        if s.len() % 2 != 0 || s.len() > 128 {
-            return Err(D::Error::custom("digest hex must be even length, at most 128 chars"));
+        let bytes = hex::deserialize(deserializer)?;
+        if bytes.len() > 64 {
+            return Err(D::Error::custom("digest longer than 64 bytes"));
         }
-        // Decoded byte-wise: slicing the string in pairs would panic on
-        // a multi-byte character straddling a pair boundary.
-        let nibble = |b: u8| (b as char).to_digit(16);
-        let bytes: Option<Vec<u8>> = s
-            .as_bytes()
-            .chunks(2)
-            .map(|pair| Some((nibble(pair[0])? << 4 | nibble(pair[1])?) as u8))
-            .collect();
-        let bytes = bytes.ok_or_else(|| D::Error::custom("digest hex has a non-hex character"))?;
         Ok(DynDigest::from_slice(&bytes))
     }
 }

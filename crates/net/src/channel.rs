@@ -362,6 +362,31 @@ mod tests {
             assert_decode_error::<M>(&framed(deep.len() as u32, deep.as_bytes()), "deep nesting");
         }
 
+        /// An accepted verdict whose `public_key` is `key`, spliced raw
+        /// into the JSON, as one frame.
+        fn verdict_with_key(key: &str) -> Vec<u8> {
+            let payload = format!(
+                r#"{{"session":1,"verdict":{{"Accepted":{{"distance":1,"public_key":{key}}}}},"trace":{{"trace_id":2,"parent_span":3}}}}"#
+            );
+            framed(payload.len() as u32, payload.as_bytes())
+        }
+
+        #[test]
+        fn malformed_public_keys_are_decode_errors() {
+            let valid = verdict_with_key(r#""00ff""#);
+            let msg = deliver::<VerdictMsg>(&valid).expect("a hex key decodes");
+            assert_eq!(msg.verdict, Verdict::Accepted { distance: 1, public_key: vec![0, 0xff] });
+            for (key, what) in [
+                (r#""0ff""#, "odd length"),
+                (r#""00fg""#, "non-hex ASCII"),
+                (r#""0é0""#, "a multi-byte character across two pairs"),
+                (r#""é""#, "a multi-byte character filling one pair"),
+                ("[0,255]", "the old array form"),
+            ] {
+                assert_decode_error::<VerdictMsg>(&verdict_with_key(key), what);
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 

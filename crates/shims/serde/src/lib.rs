@@ -288,17 +288,21 @@ pub mod de {
     pub use crate::{Deserialize, Deserializer};
 }
 
+/// The serializer that returns the [`Value`] it is given; what
+/// [`to_value`] and derived `#[serde(with = "...")]` fields run.
+pub struct ValueSerializer;
+
+impl Serializer for ValueSerializer {
+    type Ok = Value;
+    type Error = Error;
+    fn serialize_value(self, value: Value) -> Result<Value, Error> {
+        Ok(value)
+    }
+}
+
 /// Serializes any value into a [`Value`] tree.
 pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
-    struct ValueSink;
-    impl Serializer for ValueSink {
-        type Ok = Value;
-        type Error = Error;
-        fn serialize_value(self, value: Value) -> Result<Value, Error> {
-            Ok(value)
-        }
-    }
-    value.serialize(ValueSink)
+    value.serialize(ValueSerializer)
 }
 
 /// Deserializes any value from a [`Value`] tree.

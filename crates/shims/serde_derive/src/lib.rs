@@ -12,6 +12,11 @@
 //! * enum (externally tagged): unit → `"Variant"`, newtype →
 //!   `{"Variant": value}`, tuple → `{"Variant": [..]}`,
 //!   struct → `{"Variant": {..}}`
+//!
+//! The one field attribute understood is real serde's
+//! `#[serde(with = "module")]` on a named field: the field is written by
+//! `module::serialize(&field, serializer)` and read by
+//! `module::deserialize(deserializer)`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -22,7 +27,34 @@ enum Fields {
     /// them in at the use site).
     Tuple(usize),
     /// Named fields, in declaration order.
-    Named(Vec<String>),
+    Named(Vec<Field>),
+}
+
+/// A named field and its `#[serde(with = "...")]` module, if any.
+struct Field {
+    name: String,
+    with: Option<String>,
+}
+
+impl Field {
+    /// Expression turning `place` (a reference to the field) into a
+    /// `Value`.
+    fn ser_expr(&self, place: &str) -> String {
+        match &self.with {
+            Some(m) => format!("{m}::serialize({place}, ::serde::ValueSerializer)?"),
+            None => format!("::serde::to_value({place})?"),
+        }
+    }
+
+    /// Initializer `name: ...` reading the field from the object `src`.
+    fn de_init(&self, src: &str) -> String {
+        let name = &self.name;
+        let value = format!("{src}.field(\"{name}\")?");
+        match &self.with {
+            Some(m) => format!("{name}: {m}::deserialize({value})?"),
+            None => format!("{name}: ::serde::from_value({value})?"),
+        }
+    }
 }
 
 /// Parsed variant of an enum.
@@ -60,21 +92,30 @@ impl Cursor {
         t
     }
 
-    /// Skips any number of outer attributes `#[...]`.
-    fn skip_attributes(&mut self) {
+    /// Skips any number of outer attributes `#[...]`, returning the
+    /// module named by a `#[serde(with = "module")]` among them.
+    fn skip_attributes(&mut self) -> Option<String> {
+        let mut with = None;
         loop {
             match self.peek() {
                 Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                     self.pos += 1; // '#'
-                    match self.peek() {
+                    match self.next() {
                         Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket => {
-                            self.pos += 1;
+                            with = serde_with(g.stream()).or(with);
                         }
                         _ => panic!("serde_derive shim: malformed attribute"),
                     }
                 }
-                _ => return,
+                _ => return with,
             }
+        }
+    }
+
+    /// Skips attributes where `#[serde(with = "...")]` has no meaning.
+    fn skip_non_field_attributes(&mut self) {
+        if self.skip_attributes().is_some() {
+            panic!("serde_derive shim: `#[serde(with = ...)]` is supported on named fields only");
         }
     }
 
@@ -129,12 +170,30 @@ impl Cursor {
     }
 }
 
-/// Parses `{ name: Type, ... }` contents into field names.
-fn parse_named_fields(group: TokenStream) -> Vec<String> {
+/// The module of a `serde(with = "module")` attribute body; `None` for
+/// any other attribute. Other `serde(...)` options are rejected.
+fn serde_with(attr: TokenStream) -> Option<String> {
+    let tokens: Vec<TokenTree> = attr.into_iter().collect();
+    match tokens.as_slice() {
+        [TokenTree::Ident(id), TokenTree::Group(args)] if id.to_string() == "serde" => {
+            let args: Vec<String> = args.stream().into_iter().map(|t| t.to_string()).collect();
+            match args.as_slice() {
+                [key, eq, module] if key == "with" && eq == "=" && module.starts_with('"') => {
+                    Some(module.trim_matches('"').to_string())
+                }
+                _ => panic!("serde_derive shim: only `#[serde(with = \"...\")]` is supported"),
+            }
+        }
+        _ => None,
+    }
+}
+
+/// Parses `{ name: Type, ... }` contents into fields.
+fn parse_named_fields(group: TokenStream) -> Vec<Field> {
     let mut cur = Cursor::new(group);
-    let mut names = Vec::new();
+    let mut fields = Vec::new();
     loop {
-        cur.skip_attributes();
+        let with = cur.skip_attributes();
         if cur.peek().is_none() {
             break;
         }
@@ -145,14 +204,14 @@ fn parse_named_fields(group: TokenStream) -> Vec<String> {
             other => panic!("serde_derive shim: expected `:` after field `{name}`, got {other:?}"),
         }
         cur.skip_type();
-        names.push(name);
+        fields.push(Field { name, with });
         match cur.next() {
             Some(TokenTree::Punct(p)) if p.as_char() == ',' => continue,
             None => break,
             other => panic!("serde_derive shim: expected `,` between fields, got {other:?}"),
         }
     }
-    names
+    fields
 }
 
 /// Counts the top-level comma-separated types inside `( ... )`.
@@ -160,7 +219,7 @@ fn parse_tuple_arity(group: TokenStream) -> usize {
     let mut cur = Cursor::new(group);
     let mut arity = 0;
     loop {
-        cur.skip_attributes();
+        cur.skip_non_field_attributes();
         if cur.peek().is_none() {
             break;
         }
@@ -180,7 +239,7 @@ fn parse_enum_variants(group: TokenStream) -> Vec<Variant> {
     let mut cur = Cursor::new(group);
     let mut variants = Vec::new();
     loop {
-        cur.skip_attributes();
+        cur.skip_non_field_attributes();
         if cur.peek().is_none() {
             break;
         }
@@ -263,7 +322,7 @@ fn parse_generics(cur: &mut Cursor) -> Vec<String> {
 
 fn parse_input(stream: TokenStream) -> Input {
     let mut cur = Cursor::new(stream);
-    cur.skip_attributes();
+    cur.skip_non_field_attributes();
     cur.skip_visibility();
     let keyword = cur.expect_ident("`struct` or `enum`");
     let name = cur.expect_ident("type name");
@@ -315,10 +374,13 @@ fn gen_struct_to_value(fields: &Fields) -> String {
                 (0..*n).map(|i| format!("::serde::to_value(&self.{i})?")).collect();
             format!("::serde::Value::Array(vec![{}])", items.join(", "))
         }
-        Fields::Named(names) => {
-            let entries: Vec<String> = names
+        Fields::Named(fields) => {
+            let entries: Vec<String> = fields
                 .iter()
-                .map(|f| format!("(\"{f}\".to_string(), ::serde::to_value(&self.{f})?)"))
+                .map(|f| {
+                    let value = f.ser_expr(&format!("&self.{}", f.name));
+                    format!("(\"{}\".to_string(), {value})", f.name)
+                })
                 .collect();
             format!("::serde::Value::Object(vec![{}])", entries.join(", "))
         }
@@ -342,11 +404,8 @@ fn gen_struct_from_value(name: &str, fields: &Fields) -> String {
                 items = items.join(", ")
             )
         }
-        Fields::Named(names) => {
-            let inits: Vec<String> = names
-                .iter()
-                .map(|f| format!("{f}: ::serde::from_value(__value.field(\"{f}\")?)?"))
-                .collect();
+        Fields::Named(fields) => {
+            let inits: Vec<String> = fields.iter().map(|f| f.de_init("__value")).collect();
             format!("{name} {{ {} }}", inits.join(", "))
         }
     }
@@ -378,10 +437,11 @@ fn gen_enum_to_value(name: &str, variants: &[Variant]) -> String {
                     )
                 }
                 Fields::Named(fields) => {
-                    let binders = fields.join(", ");
+                    let binders: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                    let binders = binders.join(", ");
                     let entries: Vec<String> = fields
                         .iter()
-                        .map(|f| format!("(\"{f}\".to_string(), ::serde::to_value({f})?)"))
+                        .map(|f| format!("(\"{}\".to_string(), {})", f.name, f.ser_expr(&f.name)))
                         .collect();
                     format!(
                         "{name}::{vname} {{ {binders} }} => ::serde::Value::Object(vec![(\
@@ -426,10 +486,7 @@ fn gen_enum_from_value(name: &str, variants: &[Variant]) -> String {
                     )
                 }
                 Fields::Named(fields) => {
-                    let inits: Vec<String> = fields
-                        .iter()
-                        .map(|f| format!("{f}: ::serde::from_value(__inner.field(\"{f}\")?)?"))
-                        .collect();
+                    let inits: Vec<String> = fields.iter().map(|f| f.de_init("__inner")).collect();
                     format!("return Ok({name}::{vname} {{ {} }});", inits.join(", "))
                 }
             };
@@ -469,7 +526,7 @@ fn generics_fragments(generics: &[String], bound: &str) -> (String, String) {
 }
 
 /// Derives the shim's `Serialize` for a struct or enum.
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let parsed = parse_input(input);
     let (name, generics, body) = match &parsed {
@@ -496,7 +553,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 }
 
 /// Derives the shim's `Deserialize` for a struct or enum.
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let parsed = parse_input(input);
     let (name, generics, body) = match &parsed {

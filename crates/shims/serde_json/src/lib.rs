@@ -315,16 +315,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar. `pos` only ever
-                    // advances by whole scalars inside a string, so it
-                    // sits on a char boundary of the (already valid) text.
-                    let c = self
+                    // Copy the run up to the next quote or backslash in
+                    // one go. Both are ASCII, so the run ends on a char
+                    // boundary of the (already valid) text, and `pos`
+                    // only ever advances by whole scalars.
+                    let rest = self
                         .text
                         .get(self.pos..)
-                        .and_then(|rest| rest.chars().next())
                         .ok_or_else(|| Error::custom("string split a UTF-8 scalar"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
