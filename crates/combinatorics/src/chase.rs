@@ -242,7 +242,11 @@ impl ChaseState {
     }
 }
 
-/// A bounded stream over a contiguous run of Chase's sequence.
+/// A bounded stream over a contiguous run of Chase's sequence. A copy of
+/// the stream is a complete resume point: it yields exactly the masks the
+/// stream has not yet produced — no gaps, no duplicates — which is what
+/// lets a supervisor re-dispatch only the unswept remainder of a failed
+/// shard.
 #[derive(Clone, Debug)]
 pub struct ChaseStream {
     state: ChaseState,
@@ -263,24 +267,6 @@ impl ChaseStream {
     /// Number of masks left in the stream.
     pub fn remaining(&self) -> u128 {
         self.remaining
-    }
-
-    /// The generator state at the stream's current position: the next
-    /// mask this stream would yield. Together with [`remaining`], this
-    /// is a complete resume point.
-    ///
-    /// [`remaining`]: ChaseStream::remaining
-    pub fn state(&self) -> &ChaseState {
-        &self.state
-    }
-
-    /// A checkpoint of the stream's current position: feeding the pair
-    /// back into [`ChaseStream::from_snapshot`] yields exactly the masks
-    /// this stream has not yet produced — no gaps, no duplicates. This
-    /// is what lets a supervisor re-dispatch only the unswept remainder
-    /// of a failed shard.
-    pub fn snapshot(&self) -> (ChaseState, u128) {
-        (self.state, self.remaining)
     }
 
     /// Produces the next mask: a one-mask [`ChaseStream::next_batch`].
@@ -584,9 +570,9 @@ mod tests {
                 assert!(!live, "short refill mid-range (count={count}, batch={batch})");
                 break;
             }
-            assert_eq!(*stream.state(), hand, "state after {emitted} (batch={batch})");
+            assert_eq!(stream.state, hand, "state after {emitted} (batch={batch})");
         }
-        assert_eq!(*stream.state(), hand);
+        assert_eq!(stream.state, hand);
         assert_eq!(stream.remaining(), 0);
     }
 
@@ -650,11 +636,11 @@ mod tests {
                     }
                     // A full refill leaves the next mask as the resume point.
                     if let Some(next) = expect.get(got.len()) {
-                        assert_eq!(stream.state().mask(), *next);
+                        assert_eq!(stream.state.mask(), *next);
                     }
                 }
                 assert_eq!(got, expect, "count={count}, batch={batch}");
-                assert_eq!(*stream.state(), last, "count={count}, batch={batch}");
+                assert_eq!(stream.state, last, "count={count}, batch={batch}");
                 assert_eq!(stream.remaining(), 0);
                 assert_eq!(stream.next_batch(&mut buf), 0);
                 assert_eq!(stream.next_mask(), None);
@@ -767,16 +753,15 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_resumes_exactly_where_the_stream_stopped() {
+    fn a_copy_resumes_exactly_where_the_stream_stopped() {
         let total = binomial(256, 2);
         let mut stream = ChaseStream::new_full(2);
         let mut prefix = Vec::new();
         for _ in 0..1000 {
             prefix.push(stream.next_mask().unwrap());
         }
-        let (state, count) = stream.snapshot();
-        assert_eq!(count, total - 1000);
-        let rest: Vec<U256> = ChaseStream::from_snapshot(state, count).collect();
+        assert_eq!(stream.remaining(), total - 1000);
+        let rest: Vec<U256> = stream.clone().collect();
         // The resumed stream continues the identical sequence.
         let mut replay = ChaseStream::new_full(2);
         let full: Vec<U256> = replay.by_ref().collect();
@@ -858,9 +843,9 @@ mod tests {
                 for _ in 0..split {
                     swept.push(stream.next_mask().unwrap());
                 }
-                let (state, count) = stream.snapshot();
-                prop_assert_eq!(count, total - split);
-                let resumed: Vec<U256> = ChaseStream::from_snapshot(state, count).collect();
+                prop_assert_eq!(stream.remaining(), total - split);
+                let resumed: Vec<U256> =
+                    ChaseStream::from_snapshot(stream.state, stream.remaining).collect();
 
                 // Concatenation reproduces the uninterrupted sweep
                 // element-for-element: same coverage, same order, so

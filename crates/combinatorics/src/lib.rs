@@ -168,13 +168,11 @@ pub fn plan_streams(kind: SeedIterKind, d: u32, workers: usize) -> Vec<MaskStrea
             .into_iter()
             .map(|r| MaskStream::Alg515(Alg515Stream::from_rank_range(d, r.start, r.end)))
             .collect(),
-        SeedIterKind::Chase => plan_streams_with_table(&ChaseTable::shared(d, workers)),
+        SeedIterKind::Chase => {
+            let table = ChaseTable::shared(d, workers);
+            (0..workers).map(|w| MaskStream::Chase(table.stream(w))).collect()
+        }
     }
-}
-
-/// Plans one Chase stream per worker from a prebuilt snapshot table.
-pub fn plan_streams_with_table(table: &ChaseTable) -> Vec<MaskStream> {
-    (0..table.workers()).map(|w| MaskStream::Chase(table.stream(w))).collect()
 }
 
 #[cfg(test)]

@@ -224,17 +224,17 @@ impl SearchBackend for CpuBackend {
         checkpoint_interval: u64,
         sink: &dyn CheckpointSink,
     ) -> ShardReport {
-        let derive = DynHashDerive(job.algo);
+        let cfg = EngineConfig { mode: job.mode, ..self.cfg.clone() };
+        let engine = SearchEngine::new(DynHashDerive(job.algo), cfg).with_clock(self.clock.clone());
+        let give_up = job.deadline.map(|t| self.clock.now() + t);
         crate::shard::run_shard_clocked(
-            &derive,
+            &engine,
             &job.target,
             &job.s_init,
             spec,
-            job.deadline,
+            give_up,
             checkpoint_interval,
             sink,
-            &self.clock,
-            self.cfg.batch,
         )
     }
 }

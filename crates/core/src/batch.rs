@@ -9,12 +9,12 @@
 //! stop-flag and deadline polls, telemetry adds) so often they become
 //! measurable. The same tension appears in prefix-search keygen tools,
 //! which scale batch size to prefix length; here the difficulty key is
-//! `d` via the per-thread span `C(256, d)/p`.
+//! `d` via each shard's span, about `C(256, d)/p` for `p` workers.
 //!
-//! [`BatchPolicy`] resolves a concrete batch size per `(d, threads)` from
-//! three inputs:
+//! [`BatchPolicy::resolve_for_span`] resolves a concrete batch size per
+//! shard from three inputs:
 //!
-//! * the **per-thread span** — a batch never exceeds the work available
+//! * the **shard's span** — a batch never exceeds the work available
 //!   (rounded up to a whole lane group so SIMD kernels stay full), which
 //!   is what lets `d = 1` searches run a single small batch;
 //! * a **target poll count** — batches are sized so a thread expects
@@ -30,8 +30,6 @@
 //!
 //! [`BatchPolicy::Fixed`] preserves the previous behavior exactly (the
 //! §4.4-style ablations sweep it); [`BatchPolicy::default`] is adaptive.
-
-use rbc_comb::binomial;
 
 /// Widest SIMD lane group any dispatch tier uses (AVX-512 SHA-1); batch
 /// sizes are rounded up to multiples of this so kernels stay full.
@@ -75,7 +73,7 @@ impl AdaptiveBatch {
     /// batch sizes host-independent.
     pub const NOMINAL_POLL_NS: f64 = 25.0;
 
-    /// Resolves the batch size for a per-thread span of `span` seeds,
+    /// Resolves the batch size for a shard span of `span` seeds,
     /// using the nominal poll cost.
     pub fn resolve_span(&self, span: u128) -> usize {
         self.resolve_span_with_poll_cost(span, Self::NOMINAL_POLL_NS)
@@ -144,20 +142,7 @@ impl BatchPolicy {
         }
     }
 
-    /// Resolves the batch size for distance `d` searched by `threads`
-    /// workers: the per-thread span is `C(256, d) / threads`.
-    pub fn resolve(&self, d: u32, threads: usize) -> usize {
-        match self {
-            BatchPolicy::Fixed(n) => (*n).max(1),
-            BatchPolicy::Adaptive(a) => {
-                let span = binomial(256, d) / threads.max(1) as u128;
-                a.resolve_span(span.max(1))
-            }
-        }
-    }
-
-    /// Resolves the batch size for an explicitly known span of seeds
-    /// (e.g. a checkpointed shard's `count`).
+    /// Resolves the batch size for a shard of `span` seeds.
     pub fn resolve_for_span(&self, span: u128) -> usize {
         match self {
             BatchPolicy::Fixed(n) => (*n).max(1),
@@ -175,10 +160,11 @@ impl Default for BatchPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rbc_comb::binomial;
 
     const POLL_NS: f64 = 30.0;
 
-    fn resolve(d: u32, threads: usize) -> usize {
+    fn resolve_at(d: u32, threads: usize) -> usize {
         let a = AdaptiveBatch::default();
         let span = binomial(256, d) / threads as u128;
         a.resolve_span_with_poll_cost(span.max(1), POLL_NS)
@@ -188,11 +174,11 @@ mod tests {
     fn low_distance_resolves_one_small_refill() {
         // d=1 across 4 threads: 64 seeds per thread — the whole slice
         // should fit one lane-aligned refill, far below max.
-        let b = resolve(1, 4);
+        let b = resolve_at(1, 4);
         assert_eq!(b, 64);
         // Single-threaded d=1: a few overhead-amortizing refills, never
         // wider than the 256-seed span and never the 1024 max.
-        let b1 = resolve(1, 1);
+        let b1 = resolve_at(1, 1);
         assert!((96..=256).contains(&b1), "got {b1}");
         assert_eq!(b1 % LANE_GROUP, 0);
     }
@@ -200,14 +186,14 @@ mod tests {
     #[test]
     fn high_distance_resolves_max_batch() {
         // d=3: span of ~2.9M per thread wants max-size batches.
-        assert_eq!(resolve(3, 1), 1024);
-        assert_eq!(resolve(4, 64), 1024);
+        assert_eq!(resolve_at(3, 1), 1024);
+        assert_eq!(resolve_at(4, 64), 1024);
     }
 
     #[test]
     fn mid_distance_scales_between() {
         // d=2, 8 threads: span 4080, target 16 polls → ~255 → 256.
-        let b = resolve(2, 8);
+        let b = resolve_at(2, 8);
         assert!(b > 64 && b < 1024, "got {b}");
         assert_eq!(b % LANE_GROUP, 0);
     }
@@ -239,9 +225,13 @@ mod tests {
     fn fixed_policy_is_constant_and_scalar_capable() {
         let p = BatchPolicy::fixed(7);
         for d in 1..=5 {
-            assert_eq!(p.resolve(d, 4), 7);
+            assert_eq!(p.resolve_for_span(binomial(256, d) / 4), 7);
         }
-        assert_eq!(BatchPolicy::fixed(0).resolve(3, 4), 1, "clamped to scalar");
+        assert_eq!(
+            BatchPolicy::fixed(0).resolve_for_span(binomial(256, 3) / 4),
+            1,
+            "clamped to scalar"
+        );
         assert_eq!(BatchPolicy::fixed(1).max_batch(), 1);
     }
 
@@ -254,11 +244,12 @@ mod tests {
         ] {
             let cap = policy.max_batch();
             for d in 1..=5 {
-                for threads in [1usize, 4, 64] {
+                for threads in [1u128, 4, 64] {
+                    let span = binomial(256, d) / threads;
                     assert!(
-                        policy.resolve(d, threads) <= cap,
+                        policy.resolve_for_span(span) <= cap,
                         "{policy:?} d={d} p={threads}: {} > {cap}",
-                        policy.resolve(d, threads)
+                        policy.resolve_for_span(span)
                     );
                 }
             }
@@ -272,6 +263,6 @@ mod tests {
     fn default_policy_is_host_independent() {
         // The nominal poll cost floors d=1 at ceil(25 / (0.02 · 15)) = 84
         // seeds, rounded up to six lane groups, on every host and run.
-        assert_eq!(BatchPolicy::default().resolve(1, 1), 96);
+        assert_eq!(BatchPolicy::default().resolve_for_span(256), 96);
     }
 }

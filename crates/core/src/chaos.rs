@@ -184,7 +184,8 @@ impl SearchBackend for ChaosBackend {
         }
         match self.fault {
             Fault::Crash { at_progress } => {
-                let threshold = ((spec.count as f64) * at_progress.clamp(0.0, 1.0)).max(1.0) as u64;
+                let threshold = ((spec.stream.remaining() as f64) * at_progress.clamp(0.0, 1.0))
+                    .max(1.0) as u64;
                 let crash = CrashSink { inner: sink, threshold, crashed: AtomicBool::new(false) };
                 let r = self.inner.run_shard(job, spec, checkpoint_interval, &crash);
                 if crash.crashed.load(Ordering::Relaxed)
@@ -239,7 +240,7 @@ mod tests {
     use crate::pool::{SupervisedPool, SupervisedPoolConfig};
     use crate::shard::{NullSink, ShardSpec};
     use rbc_bits::U256;
-    use rbc_comb::ChaseTable;
+    use rbc_comb::SeedIterKind;
 
     fn cpu() -> Arc<dyn SearchBackend> {
         Arc::new(CpuBackend::new(EngineConfig { threads: 1, ..Default::default() }))
@@ -262,8 +263,7 @@ mod tests {
     fn absent_job() -> (SearchJob, ShardSpec) {
         let base = U256::from_u64(0xC1);
         let client = base.flip_bit(1).flip_bit(2).flip_bit(3).flip_bit(4);
-        let table = ChaseTable::build(2, 1);
-        (job_for(&client, &base, 2), ShardSpec::plan(&table, 0).remove(0))
+        (job_for(&client, &base, 2), ShardSpec::plan(SeedIterKind::Chase, 2, 1, 0).remove(0))
     }
 
     #[test]
@@ -272,7 +272,7 @@ mod tests {
         let chaos = ChaosBackend::wrap(cpu(), Fault::Crash { at_progress: 0.5 });
         let r = chaos.run_shard(&job, &spec, 512, &NullSink);
         assert!(matches!(r.outcome, ShardOutcome::Faulted { .. }), "got {:?}", r.outcome);
-        let frac = r.swept as f64 / spec.count as f64;
+        let frac = r.swept as f64 / spec.stream.remaining() as f64;
         assert!((0.4..0.7).contains(&frac), "crashed at {frac:.2} of the shard");
         // The backend stays down for every later attempt.
         let r2 = chaos.run_shard(&job, &spec, 512, &NullSink);
@@ -330,7 +330,7 @@ mod tests {
         let r = chaos.run_shard(&job, &spec, 512, &NullSink);
         assert!(start.elapsed() >= Duration::from_millis(30));
         assert_eq!(r.outcome, ShardOutcome::Exhausted);
-        assert_eq!(u128::from(r.swept), spec.count);
+        assert_eq!(u128::from(r.swept), spec.stream.remaining());
     }
 
     #[test]
@@ -356,14 +356,9 @@ mod tests {
         // of the 4-worker d=2 plan. Plant the seed three quarters into
         // that shard: the crash at 50% is guaranteed to hit first, and
         // only a re-dispatched remainder can recover the find.
-        let table = ChaseTable::build(2, 4);
-        let spec = ShardSpec::plan(&table, 0).remove(1);
-        let mut stream = rbc_comb::ChaseStream::from_snapshot(spec.state, spec.count);
-        let mut mask = stream.next_mask().unwrap();
-        for _ in 0..(3 * spec.count / 4) {
-            mask = stream.next_mask().unwrap();
-        }
-        let client = base ^ mask;
+        let spec = ShardSpec::plan(SeedIterKind::Chase, 2, 4, 0).remove(1);
+        let three_quarters = (3 * spec.stream.remaining() / 4) as usize;
+        let client = base ^ spec.stream.clone().nth(three_quarters).unwrap();
         let mut job = job_for(&client, &base, 2);
         job.deadline = Some(Duration::from_secs(20));
         let report = pool.submit(&job);

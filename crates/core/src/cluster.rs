@@ -110,13 +110,13 @@ struct NodeStop<'a> {
     hit: Option<U256>,
 }
 
-impl<S> SweepPolicy<S> for NodeStop<'_> {
+impl SweepPolicy for NodeStop<'_> {
     fn hit(&mut self, seed: U256) -> bool {
         self.hit = Some(seed);
         true
     }
 
-    fn poll(&mut self, _stream: &S, _swept: u64) -> bool {
+    fn poll(&mut self, _stream: &MaskStream, _swept: u64) -> bool {
         self.stop.load(Ordering::Relaxed)
     }
 }

@@ -3,41 +3,51 @@
 //!
 //! One generic engine serves both the salted (hash) and algorithm-aware
 //! (cipher / PQC keygen) searches via the [`crate::derive::Derive`]
-//! trait. The work assignment is the paper's: the `C(256, d)` mask space at
-//! each Hamming distance is statically partitioned into `p` near-equal
-//! contiguous ranges, one per thread (`n = C(256, d)/p` seeds each), and
-//! distances are searched in increasing order so the minimal-distance match
-//! is found first. A distance whose space is smaller than [`INLINE_GRAIN`]
-//! (only `d = 1`'s 256 masks), and every distance when `p = 1`, runs as one
-//! stream on the calling thread: spawning threads would cost more than the
-//! hashing they split.
+//! trait. Algorithm 1's distance ladder — the `d = 0` probe, distances in
+//! increasing order so the minimal-distance match is found first, the
+//! deadline between distances, and the early-exit and exhaustive rules —
+//! is one crate-private function that the supervised pool
+//! ([`crate::pool`]) climbs too; each caller supplies only how one
+//! distance is swept.
 //!
-//! **The hot path is batched**: each worker runs the crate's one search
-//! loop ([`crate::sweep`]) over its mask stream, in batches sized by
-//! [`EngineConfig::batch`] (by default adapted to search difficulty per
-//! distance, see [`crate::batch`]); `BatchPolicy::Fixed(1)` recovers the
-//! scalar engine.
+//! The engine sweeps a distance as the paper assigns the work: the
+//! `C(256, d)` mask space is statically partitioned into `p` near-equal
+//! contiguous ranges, one [`ShardSpec`] per thread (`n = C(256, d)/p`
+//! seeds each), each run by the host shard sweep ([`crate::shard`]). A
+//! distance whose space is smaller than [`INLINE_GRAIN`] (only `d = 1`'s
+//! 256 masks), and every distance when `p = 1`, runs as one shard on the
+//! calling thread: spawning threads would cost more than the hashing they
+//! split.
 //!
-//! **Early exit** uses a shared [`AtomicU8`] flag: `Relaxed` loads in the
-//! hot loop (the flag is a monotonic latch, no data is published through
-//! it), a `Release` store when a thread finds the seed, and an `Acquire`
-//! re-check by the coordinator. The found seed itself travels through a
-//! mutex, not the flag. Flag and deadline polls are paid once per batch,
-//! not per candidate — the batch size is the §4.4 exit-check interval.
+//! **The hot path is batched**: each shard runs the crate's one search
+//! loop ([`crate::sweep`]) in batches sized by [`EngineConfig::batch`] (by
+//! default adapted to the shard's span, see [`crate::batch`]);
+//! `BatchPolicy::Fixed(1)` recovers the scalar engine.
+//!
+//! **Early exit** uses the shard sweep's checkpoint contract: every batch
+//! each worker asks a sink whether to go on, and the sink answers stop
+//! once a sibling has found the seed (a shared [`AtomicBool`] latch,
+//! `Release` on the find, `Relaxed` in the hot loop; the seed itself
+//! travels back in the finder's [`ShardReport`]). Flag and deadline polls
+//! are paid once per batch, not per candidate — the batch size is the
+//! §4.4 exit-check interval.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use rbc_bits::U256;
-use rbc_comb::{binomial, plan_streams, ChaseTable, MaskStream, SeedIterKind};
+use rbc_comb::{binomial, ChaseTable, SeedIterKind};
 use rbc_telemetry::{Counter, Registry};
 
 use crate::batch::BatchPolicy;
 use crate::clock::{wall_clock, ClockHandle};
 use crate::derive::Derive;
-use crate::sweep::{sweep, SearchCost, SweepPolicy};
+use crate::shard::{
+    run_shard_clocked, Checkpoint, CheckpointSink, ShardControl, ShardOutcome, ShardReport,
+    ShardSpec,
+};
+use crate::sweep::SearchCost;
 
 /// Search-termination policy, matching the paper's two measured scenarios.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,7 +55,8 @@ pub enum SearchMode {
     /// Stop every thread as soon as a match is found (average-case rows).
     EarlyExit,
     /// Enumerate the entire space up to `max_d` regardless of matches
-    /// (exhaustive / upper-bound rows). A found seed is still reported.
+    /// (exhaustive / upper-bound rows). A found seed is still reported,
+    /// even when the deadline expires after it was found.
     Exhaustive,
 }
 
@@ -65,7 +76,7 @@ pub struct EngineConfig {
     /// and the stop-flag/deadline polls are paid once per batch (the
     /// batch is the §4.4 exit-check interval). The default
     /// [`BatchPolicy::Adaptive`] scales the size to search difficulty
-    /// (the per-thread `C(256, d)/p` span — see [`crate::batch`]);
+    /// (each worker's span, about `C(256, d)/p` — see [`crate::batch`]);
     /// [`BatchPolicy::Fixed`] pins it, and `Fixed(1)` reproduces the
     /// pre-batching scalar engine.
     pub batch: BatchPolicy,
@@ -144,7 +155,10 @@ pub struct SearchReport {
     pub seeds_derived: u64,
     /// Total search wall-clock time ("search-only time" in the tables).
     pub elapsed: Duration,
-    /// Breakdown by distance.
+    /// Breakdown by distance, from the `d = 0` probe to the last distance
+    /// the search reached; its seeds sum to `seeds_derived`. Empty from
+    /// substrates that keep no such breakdown (the device simulators and
+    /// the cluster).
     pub per_distance: Vec<DistanceStats>,
     /// Derivation algorithm name.
     pub algorithm: &'static str,
@@ -223,7 +237,7 @@ impl EngineTelemetry {
 /// milliseconds and split.
 pub const INLINE_GRAIN: u128 = 10_000;
 
-/// Streams distance `d` is split into when the engine runs `threads`
+/// Shards distance `d` is split into when the engine runs `threads`
 /// workers: one (the calling thread) below [`INLINE_GRAIN`].
 fn workers_at(d: u32, threads: usize) -> usize {
     if binomial(256, d) < INLINE_GRAIN {
@@ -233,20 +247,15 @@ fn workers_at(d: u32, threads: usize) -> usize {
     }
 }
 
-// Stop-flag states.
-const RUNNING: u8 = 0;
-const FOUND: u8 = 1;
-const EXPIRED: u8 = 2;
-
 /// The reusable search engine. Construction is cheap; Chase snapshot
 /// tables come from the process-wide cache ([`ChaseTable::shared`]),
 /// built lazily on first use per `(d, threads)` (the paper's "loaded into
 /// GPU memory once and used to authenticate all clients").
 pub struct SearchEngine<D: Derive> {
-    derive: D,
-    cfg: EngineConfig,
-    telemetry: Option<EngineTelemetry>,
-    clock: ClockHandle,
+    pub(crate) derive: D,
+    pub(crate) cfg: EngineConfig,
+    pub(crate) telemetry: Option<EngineTelemetry>,
+    pub(crate) clock: ClockHandle,
 }
 
 impl<D: Derive> SearchEngine<D> {
@@ -300,168 +309,191 @@ impl<D: Derive> SearchEngine<D> {
     /// under [`SearchMode::Exhaustive`] the whole space is enumerated.
     pub fn search(&self, target: &D::Out, s_init: &U256, max_d: u32) -> SearchReport {
         let threads = self.cfg.effective_threads();
-        let clock = &self.clock;
-        let start = clock.now();
-        let deadline = self.cfg.deadline.map(|t| start + t);
         let early = self.cfg.mode == SearchMode::EarlyExit;
-        let telemetry = self.telemetry.as_ref();
-        if let Some(t) = telemetry {
+        if let Some(t) = &self.telemetry {
             t.searches.inc();
-            t.seeds_scanned.inc(); // the distance-0 probe below
+            t.seeds_scanned.inc(); // the ladder's distance-0 probe
         }
-
-        let flag = AtomicU8::new(RUNNING);
-        let found: Mutex<Option<(U256, u32)>> = Mutex::new(None);
-        let mut total_seeds = 0u64;
-        // Per-search cost, reported on the search's own report so a
-        // single request (not just the cumulative telemetry) shows how
-        // selective the prefix filter was for it.
-        let mut cost = SearchCost::default();
-        let mut per_distance = Vec::with_capacity(max_d as usize + 1);
-
-        // Distance 0: thread r = 0 checks S_init itself (Algorithm 1,
-        // lines 4–8).
-        let d0_start = clock.now();
-        let m0 = self.derive.derive(s_init);
-        total_seeds += 1;
-        per_distance.push(DistanceStats {
-            d: 0,
-            seeds: 1,
-            elapsed: clock.now().saturating_duration_since(d0_start),
-        });
-        if m0 == *target {
-            flag.store(FOUND, Ordering::Release);
-            *found.lock() = Some((*s_init, 0));
-        }
-
-        let mut d = 1u32;
-        while d <= max_d {
-            let stop_now = match flag.load(Ordering::Acquire) {
-                FOUND => early,
-                EXPIRED => true,
-                _ => false,
-            };
-            if stop_now {
-                break;
-            }
-            if let Some(dl) = deadline {
-                if clock.now() >= dl {
-                    flag.store(EXPIRED, Ordering::Release);
-                    break;
+        let ladder = Ladder {
+            derive: &self.derive,
+            target,
+            s_init,
+            max_d,
+            mode: self.cfg.mode,
+            deadline: self.cfg.deadline,
+            clock: &self.clock,
+            threads,
+        };
+        let mut report = ladder.climb(|d, give_up| {
+            let specs = ShardSpec::plan(self.cfg.iter, d, workers_at(d, threads), 0);
+            let sibling_found = AtomicBool::new(false);
+            let sink = SiblingStop { found: &sibling_found, telemetry: self.telemetry.as_ref() };
+            let run = |spec: &ShardSpec| {
+                let report = run_shard_clocked(self, target, s_init, spec, give_up, 1, &sink);
+                if early && matches!(report.outcome, ShardOutcome::Found { .. }) {
+                    sibling_found.store(true, Ordering::Release);
                 }
-            }
-
-            let d_start = clock.now();
-            let workers = workers_at(d, threads);
-            let mut streams = plan_streams(self.cfg.iter, d, workers);
-            // One policy resolution per distance: the batch size every
-            // worker at this distance uses.
-            let batch = self.cfg.batch.resolve(d, workers);
-            let stop =
-                EngineStop { d, early, flag: &flag, found: &found, deadline, clock, telemetry };
-            let derive = &self.derive;
-            let run = move |mut masks: MaskStream| {
-                let mut stop = stop;
-                sweep(derive, target, s_init, &mut masks, batch, telemetry, &mut stop)
+                report
             };
-            let mut d_seeds = 0u64;
-            if workers == 1 {
-                let (swept, worker_cost) = run(streams.pop().expect("one planned stream"));
-                d_seeds += swept;
-                cost += worker_cost;
+            let mut sweep = DistanceSweep::default();
+            if let [spec] = specs.as_slice() {
+                sweep.add(run(spec));
             } else {
+                let run = &run;
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> =
-                        streams.into_iter().map(|masks| scope.spawn(move || run(masks))).collect();
-                    for handle in handles {
-                        let (swept, worker_cost) = handle.join().expect("search worker panicked");
-                        d_seeds += swept;
-                        cost += worker_cost;
+                    let workers: Vec<_> =
+                        specs.iter().map(|spec| scope.spawn(move || run(spec))).collect();
+                    for worker in workers {
+                        sweep.add(worker.join().expect("search worker panicked"));
                     }
                 });
             }
-            total_seeds += d_seeds;
-            per_distance.push(DistanceStats {
-                d,
-                seeds: d_seeds,
-                elapsed: clock.now().saturating_duration_since(d_start),
-            });
-            d += 1;
-        }
-
-        let outcome = match flag.load(Ordering::Acquire) {
-            FOUND => {
-                let (seed, distance) = found.lock().expect("found flag implies slot");
-                Outcome::Found { seed, distance }
-            }
-            EXPIRED => Outcome::TimedOut { at_distance: d.min(max_d) },
-            _ => resolve_running_outcome(&found),
-        };
-
-        SearchReport {
-            outcome,
-            seeds_derived: total_seeds,
-            elapsed: clock.now().saturating_duration_since(start),
-            per_distance,
-            algorithm: self.derive.name(),
-            threads,
-            cost: Some(cost),
-            extras: Vec::new(),
-        }
+            sweep
+        });
+        report.cost.get_or_insert_default();
+        report
     }
 }
 
-/// One engine worker's stop policy at distance `d`.
-#[derive(Clone, Copy)]
-struct EngineStop<'a> {
-    d: u32,
-    early: bool,
-    flag: &'a AtomicU8,
-    found: &'a Mutex<Option<(U256, u32)>>,
-    deadline: Option<Instant>,
-    clock: &'a ClockHandle,
+/// The engine's cross-worker early exit on the shard sweep's checkpoint
+/// contract: asked every batch, it stops the sweep once a sibling worker
+/// has found the seed, and counts the poll.
+struct SiblingStop<'a> {
+    found: &'a AtomicBool,
     telemetry: Option<&'a EngineTelemetry>,
 }
 
-impl<S> SweepPolicy<S> for EngineStop<'_> {
-    /// Records a hit; within a thread the first match in stream order
-    /// wins, across threads the first writer wins (later distances never
-    /// get here before earlier ones finish). Under exhaustive mode the
-    /// sweep goes on.
-    fn hit(&mut self, seed: U256) -> bool {
-        let mut slot = self.found.lock();
-        if slot.is_none() {
-            *slot = Some((seed, self.d));
-        }
-        drop(slot);
-        self.flag.store(FOUND, Ordering::Release);
-        self.early
-    }
-
-    fn poll(&mut self, _stream: &S, _swept: u64) -> bool {
+impl CheckpointSink for SiblingStop<'_> {
+    fn checkpoint(&self, _cp: Checkpoint) -> ShardControl {
         if let Some(t) = self.telemetry {
             t.early_exit_polls.inc();
         }
-        let f = self.flag.load(Ordering::Relaxed);
-        if (f == FOUND && self.early) || f == EXPIRED {
-            return true;
+        if self.found.load(Ordering::Relaxed) {
+            ShardControl::Stop
+        } else {
+            ShardControl::Continue
         }
-        if let Some(dl) = self.deadline {
-            if self.clock.now() >= dl {
-                self.flag.store(EXPIRED, Ordering::Release);
-                return true;
-            }
-        }
-        false
     }
 }
 
-/// Resolves the RUNNING end state: under exhaustive mode a match may have
-/// been recorded without latching early termination semantics.
-fn resolve_running_outcome(found: &Mutex<Option<(U256, u32)>>) -> Outcome {
-    match *found.lock() {
-        Some((seed, distance)) => Outcome::Found { seed, distance },
-        None => Outcome::NotFound,
+/// What sweeping one distance gave the [`Ladder`].
+#[derive(Default)]
+pub(crate) struct DistanceSweep {
+    /// Seeds derived at this distance.
+    pub seeds: u64,
+    /// What the sweep consumed; `None` when nothing billed a cost.
+    pub cost: Option<SearchCost>,
+    /// A verified seed found at this distance.
+    pub found: Option<U256>,
+    /// The distance could not be swept to its end: the deadline expired,
+    /// or (in the pool) a shard could not be recovered.
+    pub cut: bool,
+}
+
+impl DistanceSweep {
+    /// Folds one shard attempt's report in.
+    fn add(&mut self, report: ShardReport) {
+        self.seeds += report.swept;
+        *self.cost.get_or_insert_default() += report.cost;
+        match report.outcome {
+            ShardOutcome::Found { seed } => {
+                self.found.get_or_insert(seed);
+            }
+            ShardOutcome::TimedOut => self.cut = true,
+            _ => {}
+        }
+    }
+}
+
+/// Algorithm 1's distance ladder, climbed by [`SearchEngine::search`] and
+/// the supervised pool alike.
+///
+/// [`Ladder::climb`] probes `s_init` itself (`d = 0`), then sweeps each
+/// distance `1..=max_d` in increasing order through the caller's step,
+/// checking the deadline before each one. Its rules:
+///
+/// * under [`SearchMode::EarlyExit`] the climb stops at the distance of
+///   the first find; under [`SearchMode::Exhaustive`] it goes on;
+/// * a distance that is cut (or reached after the deadline, as a row of
+///   zero seeds) ends the climb, and reports
+///   [`Outcome::TimedOut`] at that distance — unless a seed was found,
+///   which wins over any later timeout;
+/// * `per_distance` always starts with the `d = 0` row, and its seeds
+///   sum to `seeds_derived`.
+pub(crate) struct Ladder<'a, D: Derive> {
+    pub derive: &'a D,
+    pub target: &'a D::Out,
+    pub s_init: &'a U256,
+    pub max_d: u32,
+    pub mode: SearchMode,
+    /// The threshold `T`, from the climb's start.
+    pub deadline: Option<Duration>,
+    pub clock: &'a ClockHandle,
+    /// Reported as [`SearchReport::threads`].
+    pub threads: usize,
+}
+
+impl<D: Derive> Ladder<'_, D> {
+    /// Runs the search. `sweep_distance(d, give_up)` sweeps distance `d`,
+    /// giving up at the search's deadline instant. The report's `extras`
+    /// are left empty for the caller.
+    pub fn climb(
+        self,
+        mut sweep_distance: impl FnMut(u32, Option<Instant>) -> DistanceSweep,
+    ) -> SearchReport {
+        let clock = self.clock;
+        let start = clock.now();
+        let give_up = self.deadline.map(|t| start + t);
+        let mut found =
+            (self.derive.derive(self.s_init) == *self.target).then_some((*self.s_init, 0));
+        let mut per_distance = vec![DistanceStats {
+            d: 0,
+            seeds: 1,
+            elapsed: clock.now().saturating_duration_since(start),
+        }];
+        let (mut seeds_derived, mut cost, mut cut_at) = (1u64, None, None);
+        for d in 1..=self.max_d {
+            if found.is_some() && self.mode == SearchMode::EarlyExit {
+                break;
+            }
+            let d_start = clock.now();
+            let sweep = if give_up.is_some_and(|dl| d_start >= dl) {
+                DistanceSweep { cut: true, ..DistanceSweep::default() }
+            } else {
+                sweep_distance(d, give_up)
+            };
+            seeds_derived += sweep.seeds;
+            if let Some(c) = sweep.cost {
+                *cost.get_or_insert_default() += c;
+            }
+            per_distance.push(DistanceStats {
+                d,
+                seeds: sweep.seeds,
+                elapsed: clock.now().saturating_duration_since(d_start),
+            });
+            if found.is_none() {
+                found = sweep.found.map(|seed| (seed, d));
+            }
+            if sweep.cut {
+                cut_at = Some(d);
+                break;
+            }
+        }
+        let outcome = match (found, cut_at) {
+            (Some((seed, distance)), _) => Outcome::Found { seed, distance },
+            (None, Some(at_distance)) => Outcome::TimedOut { at_distance },
+            (None, None) => Outcome::NotFound,
+        };
+        SearchReport {
+            outcome,
+            seeds_derived,
+            elapsed: clock.now().saturating_duration_since(start),
+            per_distance,
+            algorithm: self.derive.name(),
+            threads: self.threads,
+            cost,
+            extras: Vec::new(),
+        }
     }
 }
 
@@ -469,6 +501,7 @@ fn resolve_running_outcome(found: &Mutex<Option<(U256, u32)>>) -> Outcome {
 mod tests {
     use super::*;
     use crate::derive::HashDerive;
+    use parking_lot::Mutex;
     use rbc_hash::{SeedHash, Sha1Fixed, Sha3Fixed};
 
     fn engine(mode: SearchMode, iter: SeedIterKind) -> SearchEngine<HashDerive<Sha3Fixed>> {
@@ -557,33 +590,72 @@ mod tests {
         assert_eq!(report.per_distance[2].seeds, 32_640);
     }
 
-    #[test]
-    fn deadline_expires_on_slow_derive() {
-        /// A derivation slow enough that the 2-distance search cannot
-        /// finish within the deadline.
-        #[derive(Clone)]
-        struct Slow;
-        impl Derive for Slow {
-            type Out = u64;
-            fn name(&self) -> &'static str {
-                "slow"
-            }
-            fn derive(&self, _seed: &U256) -> u64 {
-                std::thread::sleep(Duration::from_micros(200));
-                0xFFFF_FFFF_FFFF_FFFF // never matches
-            }
+    /// A derivation slow enough (200 µs a seed) that a deadline of tens
+    /// of milliseconds expires mid-search; its output is [`mix`].
+    #[derive(Clone)]
+    struct Slow;
+
+    impl Derive for Slow {
+        type Out = u64;
+        fn name(&self) -> &'static str {
+            "slow"
         }
-        let eng = SearchEngine::new(
+        fn derive(&self, seed: &U256) -> u64 {
+            std::thread::sleep(Duration::from_micros(200));
+            mix(seed)
+        }
+    }
+
+    /// A 64-bit mix of all four limbs, so seeds that differ in any bit
+    /// derive to different outputs.
+    fn mix(seed: &U256) -> u64 {
+        seed.limbs()
+            .iter()
+            .fold(0, |h, &l| (h ^ l).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29))
+    }
+
+    fn slow_engine(threads: usize, mode: SearchMode, deadline_ms: u64) -> SearchEngine<Slow> {
+        SearchEngine::new(
             Slow,
             EngineConfig {
-                threads: 2,
-                deadline: Some(Duration::from_millis(30)),
+                threads,
+                mode,
+                deadline: Some(Duration::from_millis(deadline_ms)),
                 ..Default::default()
             },
-        );
-        let report = eng.search(&0, &U256::ZERO, 2);
-        assert!(matches!(report.outcome, Outcome::TimedOut { .. }), "{:?}", report.outcome);
-        assert!(report.seeds_derived < 1 + 256 + 32_640, "stopped early");
+        )
+    }
+
+    #[test]
+    fn deadline_expires_on_slow_derive() {
+        for threads in [1, 2] {
+            let report =
+                slow_engine(threads, SearchMode::EarlyExit, 30).search(&u64::MAX, &U256::ZERO, 4);
+            let Outcome::TimedOut { at_distance } = report.outcome else {
+                panic!("p = {threads}: {:?}", report.outcome);
+            };
+            assert!(report.seeds_derived < 1 + 256 + 32_640, "stopped early");
+            let last = report.per_distance.last().unwrap();
+            assert_eq!(at_distance, last.d, "p = {threads}: names the distance being swept");
+        }
+    }
+
+    #[test]
+    fn exhaustive_find_survives_a_later_timeout() {
+        // Chase's first d = 1 mask is bit 255, so the seed is found in the
+        // first batch; the 60 ms deadline then expires during d = 1 or 2.
+        let base = U256::from_u64(5);
+        let client = base.flip_bit(255);
+        for threads in [1, 2] {
+            let report =
+                slow_engine(threads, SearchMode::Exhaustive, 60).search(&mix(&client), &base, 3);
+            assert!(report.per_distance.len() < 4, "p = {threads}: the deadline expired");
+            assert_eq!(
+                report.outcome,
+                Outcome::Found { seed: client, distance: 1 },
+                "p = {threads}"
+            );
+        }
     }
 
     #[test]

@@ -35,16 +35,15 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rbc_bits::U256;
-use rbc_comb::ChaseTable;
+use rbc_comb::SeedIterKind;
 use rbc_hash::HashAlgo;
 use rbc_telemetry::{Counter, EventKind, Histogram, Registry, Tracer};
 
 use crate::backend::{BackendDescriptor, SearchBackend, SearchJob};
 use crate::clock::{wall_clock, ClockHandle, SIM_POLL_TICK};
 use crate::derive::{Derive, DynHashDerive};
-use crate::engine::{DistanceStats, Outcome, SearchMode, SearchReport};
+use crate::engine::{DistanceSweep, Ladder, SearchMode, SearchReport};
 use crate::shard::{Checkpoint, CheckpointSink, ShardControl, ShardOutcome, ShardSpec};
-use crate::sweep::SearchCost;
 
 /// A backend reporting `TimedOut` while more than this much wall budget
 /// remains is treated as clock-skewed (a fault), not as a genuine
@@ -333,12 +332,20 @@ struct ShardRun {
     failed: bool,
 }
 
+impl ShardRun {
+    /// What a new attempt sweeps: the remainder from the freshest
+    /// checkpoint, or the whole shard when none was published.
+    fn resume_spec(&self) -> ShardSpec {
+        self.best.as_ref().map_or_else(|| self.spec.clone(), |cp| self.spec.resume(cp))
+    }
+}
+
 /// Mutable state of one distance sweep.
 struct SweepState {
     runs: Vec<ShardRun>,
     pending: usize,
-    swept: u64,
-    found: Option<U256>,
+    /// Seeds, cost and find reported so far, handed to the ladder.
+    sweep: DistanceSweep,
     /// Useful-work credit for superseded attempts: masks up to the
     /// checkpoint their remainder was resumed from. Anything a stale
     /// attempt sweeps beyond its credit is wasted (duplicated) work.
@@ -349,8 +356,7 @@ struct SweepState {
     deferred: Vec<Box<dyn FnOnce() + Send>>,
 }
 
-/// Per-submit resilience totals, reported in the job's `extras`, and
-/// search cost.
+/// Per-submit resilience totals, reported in the job's `extras`.
 #[derive(Default)]
 struct Totals {
     redispatches: u64,
@@ -358,11 +364,6 @@ struct Totals {
     faults: u64,
     stalls: u64,
     wasted: u64,
-    /// Every shard attempt's cost added up, `None` until one reports.
-    /// Superseded attempts count too: their work was consumed even if it
-    /// was later voided, and the per-request cost receipt bills
-    /// consumption.
-    cost: Option<SearchCost>,
 }
 
 /// Immutable context shared by one distance sweep.
@@ -371,16 +372,6 @@ struct SweepCtx {
     active: Arc<Mutex<HashSet<u64>>>,
     cancel: Arc<AtomicBool>,
     deadline_at: Option<Instant>,
-}
-
-/// How a distance sweep ended.
-enum SweepResult {
-    Found(U256),
-    Exhausted,
-    TimedOut,
-    /// Some shard exhausted its re-dispatch budget or no backend could
-    /// take it: the distance cannot be proven clear.
-    Failed,
 }
 
 /// A fleet of backends behind one [`SearchBackend`] interface, with
@@ -591,15 +582,7 @@ impl SupervisedPool {
             return;
         }
         run.redispatches += 1;
-        let spec = match &run.best {
-            Some(cp) => ShardSpec {
-                shard_id: run.spec.shard_id,
-                d: run.spec.d,
-                state: cp.state,
-                count: cp.remaining,
-            },
-            None => run.spec.clone(),
-        };
+        let spec = run.resume_spec();
         match self.pick_backend(job.algo, &[failed_backend], false) {
             Some(b) => {
                 self.metrics.redispatches.inc();
@@ -625,7 +608,7 @@ impl SupervisedPool {
 
 /// Folds `cp` into the shard's best (minimum-remaining) resume point.
 fn merge_best(run: &mut ShardRun, cp: Checkpoint) {
-    if run.best.as_ref().is_none_or(|b| cp.remaining < b.remaining) {
+    if run.best.as_ref().is_none_or(|b| cp.stream.remaining() < b.stream.remaining()) {
         run.best = Some(cp);
     }
 }
@@ -660,22 +643,27 @@ fn supersede(
 
 impl SupervisedPool {
     /// Runs one distance sweep: plans shards, launches attempts, and
-    /// supervises them to completion, recovery, or deadline. Resilience
-    /// totals fold into `acc` for the submit-level report extras.
+    /// supervises them to completion, recovery, or deadline — the pool's
+    /// step of the distance ladder. Every attempt's seeds and cost count,
+    /// superseded ones too: their work was consumed even if it was later
+    /// voided, and the per-request cost receipt bills consumption. The
+    /// sweep is cut when the deadline expires or a shard cannot be proven
+    /// clear (its re-dispatch budget ran out or no backend could take
+    /// it). Resilience totals fold into `acc` for the report's extras.
     fn sweep_distance(
         &self,
         job: &SearchJob,
         d: u32,
         deadline_at: Option<Instant>,
         acc: &mut Totals,
-    ) -> (SweepResult, u64) {
+    ) -> DistanceSweep {
         let workers = self.backends.len();
         let derive = DynHashDerive(job.algo);
         let early = job.mode == SearchMode::EarlyExit;
         let first = self.next_shard.fetch_add(workers as u64, Ordering::Relaxed);
-        let specs = ShardSpec::plan(&ChaseTable::shared(d, workers), first);
+        let specs = ShardSpec::plan(SeedIterKind::Chase, d, workers, first);
         if specs.is_empty() {
-            return (SweepResult::Exhausted, 0);
+            return DistanceSweep::default();
         }
         self.metrics.shards.add(specs.len() as u64);
 
@@ -700,8 +688,7 @@ impl SupervisedPool {
                     failed: false,
                 })
                 .collect(),
-            swept: 0,
-            found: None,
+            sweep: DistanceSweep::default(),
             credit: HashMap::new(),
             totals: Totals::default(),
             deferred: Vec::new(),
@@ -784,47 +771,37 @@ impl SupervisedPool {
             };
             if let Some(event) = event {
                 if let Some(seed) = self.handle_event(&ctx, &mut st, job, &derive, event) {
+                    st.sweep.found.get_or_insert(seed);
                     if early {
                         ctx.cancel.store(true, Ordering::Relaxed);
-                        self.start_deferred(&mut st);
-                        self.flush_totals(&st, acc);
-                        return (SweepResult::Found(seed), st.swept);
+                        return self.leave(st, acc);
                     }
-                    st.found = Some(seed);
                 }
             }
             if deadline_at.is_some_and(|dl| self.clock.now() >= dl) {
                 ctx.cancel.store(true, Ordering::Relaxed);
-                self.start_deferred(&mut st);
-                self.flush_totals(&st, acc);
-                return match st.found {
-                    Some(seed) => (SweepResult::Found(seed), st.swept),
-                    None => (SweepResult::TimedOut, st.swept),
-                };
+                st.sweep.cut = true;
+                return self.leave(st, acc);
             }
             self.scan_stalls_and_hedges(&ctx, &mut st, job);
         }
 
-        self.start_deferred(&mut st);
-        self.flush_totals(&st, acc);
-        let result = match st.found {
-            Some(seed) => SweepResult::Found(seed),
-            None if st.runs.iter().any(|r| r.failed) => SweepResult::Failed,
-            None => SweepResult::Exhausted,
-        };
-        (result, st.swept)
+        st.sweep.cut |= st.runs.iter().any(|r| r.failed);
+        self.leave(st, acc)
     }
 
-    fn flush_totals(&self, st: &SweepState, acc: &mut Totals) {
+    /// Ends a distance sweep: starts the deferred attempts (which see any
+    /// cancel at their first checkpoint) and folds the sweep's resilience
+    /// totals into `acc`.
+    fn leave(&self, mut st: SweepState, acc: &mut Totals) -> DistanceSweep {
+        self.start_deferred(&mut st);
         self.metrics.wasted_seeds.add(st.totals.wasted);
         acc.redispatches += st.totals.redispatches;
         acc.hedges += st.totals.hedges;
         acc.faults += st.totals.faults;
         acc.stalls += st.totals.stalls;
         acc.wasted += st.totals.wasted;
-        if let Some(cost) = st.totals.cost {
-            *acc.cost.get_or_insert_default() += cost;
-        }
+        st.sweep
     }
 
     /// Applies one worker event to the sweep state. Returns a verified
@@ -855,8 +832,8 @@ impl SupervisedPool {
                 None
             }
             Event::Done { shard, attempt, backend, report } => {
-                st.swept += report.swept;
-                *st.totals.cost.get_or_insert_default() += report.cost;
+                st.sweep.seeds += report.swept;
+                *st.sweep.cost.get_or_insert_default() += report.cost;
                 let was_active = ctx.active.lock().remove(&attempt);
                 let run = &mut st.runs[shard];
                 if let Some(info) = run.attempts.remove(&attempt) {
@@ -1017,15 +994,7 @@ impl SupervisedPool {
             if let Some(b) = self.pick_backend(job.algo, &[primary_backend], true) {
                 let run = &mut st.runs[shard];
                 run.hedged = true;
-                let spec = match &run.best {
-                    Some(cp) => ShardSpec {
-                        shard_id: run.spec.shard_id,
-                        d: run.spec.d,
-                        state: cp.state,
-                        count: cp.remaining,
-                    },
-                    None => run.spec.clone(),
-                };
+                let spec = run.resume_spec();
                 self.metrics.hedges.inc();
                 st.totals.hedges += 1;
                 self.launch_attempt(ctx, st, shard, b, job, spec);
@@ -1048,93 +1017,27 @@ impl SearchBackend for SupervisedPool {
     }
 
     fn submit(&self, job: &SearchJob) -> SearchReport {
-        let start = self.clock.now();
-        let elapsed = || self.clock.now().saturating_duration_since(start);
-        let deadline_at = job.deadline.map(|t| start + t);
-        let derive = DynHashDerive(job.algo);
-        let algorithm = derive.name();
-        let threads = self.backends.len();
-        let mut per_distance = Vec::new();
-        let mut seeds_derived = 1u64;
-        let mut found: Option<(U256, u32)> = None;
         let mut totals = Totals::default();
-
-        let finish = |outcome: Outcome,
-                      seeds_derived: u64,
-                      per_distance: Vec<DistanceStats>,
-                      totals: &Totals,
-                      elapsed: Duration| SearchReport {
-            outcome,
-            seeds_derived,
-            elapsed,
-            per_distance,
-            algorithm,
-            threads,
-            cost: totals.cost,
-            extras: vec![
-                ("redispatches", totals.redispatches),
-                ("hedges", totals.hedges),
-                ("faults", totals.faults),
-                ("stalls", totals.stalls),
-                ("wasted_seeds", totals.wasted),
-            ],
+        let ladder = Ladder {
+            derive: &DynHashDerive(job.algo),
+            target: &job.target,
+            s_init: &job.s_init,
+            max_d: job.max_d,
+            mode: job.mode,
+            deadline: job.deadline,
+            clock: &self.clock,
+            threads: self.backends.len(),
         };
-
-        // Distance 0: the reference image itself.
-        if derive.derive(&job.s_init) == job.target {
-            return finish(
-                Outcome::Found { seed: job.s_init, distance: 0 },
-                seeds_derived,
-                per_distance,
-                &totals,
-                elapsed(),
-            );
-        }
-
-        for d in 1..=job.max_d {
-            if deadline_at.is_some_and(|dl| self.clock.now() >= dl) {
-                let outcome = match found {
-                    Some((seed, distance)) => Outcome::Found { seed, distance },
-                    None => Outcome::TimedOut { at_distance: d },
-                };
-                return finish(outcome, seeds_derived, per_distance, &totals, elapsed());
-            }
-            let d_start = self.clock.now();
-            let (result, swept) = self.sweep_distance(job, d, deadline_at, &mut totals);
-            seeds_derived += swept;
-            per_distance.push(DistanceStats {
-                d,
-                seeds: swept,
-                elapsed: self.clock.now().saturating_duration_since(d_start),
-            });
-            match result {
-                SweepResult::Found(seed) => {
-                    if found.is_none() {
-                        found = Some((seed, d));
-                    }
-                    if job.mode == SearchMode::EarlyExit {
-                        break;
-                    }
-                }
-                SweepResult::Exhausted => {}
-                SweepResult::TimedOut | SweepResult::Failed => {
-                    // The distance could not be proven clear within the
-                    // budget: without a find this is a timeout, never a
-                    // (wrong) NotFound.
-                    let outcome = match found {
-                        Some((seed, distance)) => Outcome::Found { seed, distance },
-                        None => Outcome::TimedOut { at_distance: d },
-                    };
-                    return finish(outcome, seeds_derived, per_distance, &totals, elapsed());
-                }
-            }
-        }
-
-        let outcome = match found {
-            Some((seed, distance)) => Outcome::Found { seed, distance },
-            None => Outcome::NotFound,
-        };
-        finish(outcome, seeds_derived, per_distance, &totals, elapsed())
+        let mut report =
+            ladder.climb(|d, give_up| self.sweep_distance(job, d, give_up, &mut totals));
+        report.extras = vec![
+            ("redispatches", totals.redispatches),
+            ("hedges", totals.hedges),
+            ("faults", totals.faults),
+            ("stalls", totals.stalls),
+            ("wasted_seeds", totals.wasted),
+        ];
+        report
     }
 }
 
@@ -1143,8 +1046,9 @@ mod tests {
     use super::*;
     use crate::backend::CpuBackend;
     use crate::clock::SimClock;
-    use crate::engine::EngineConfig;
+    use crate::engine::{EngineConfig, Outcome};
     use crate::shard::ShardReport;
+    use crate::sweep::SearchCost;
     use rbc_hash::HashAlgo;
 
     fn cpu() -> Arc<dyn SearchBackend> {
@@ -1311,6 +1215,42 @@ mod tests {
         let report = pool.submit(&job_for(&client, &base, 2));
         assert_eq!(report.outcome, Outcome::Found { seed: client, distance: 2 });
         assert_eq!(report.extra("redispatches"), Some(0));
+    }
+
+    fn sha1_job(client: &U256, base: &U256, mode: SearchMode) -> SearchJob {
+        SearchJob::new(HashAlgo::Sha1, HashAlgo::Sha1.digest_seed(client), *base, 2).with_mode(mode)
+    }
+
+    #[test]
+    fn exhaustive_searches_bill_the_whole_space_like_the_engine() {
+        let base = U256::from_u64(0x1234);
+        let client = base.flip_bit(17).flip_bit(171);
+        let job = sha1_job(&client, &base, SearchMode::Exhaustive);
+        let pool = SupervisedPool::new(vec![cpu(), cpu()], fast_cfg()).submit(&job);
+        let engine =
+            CpuBackend::new(EngineConfig { threads: 2, ..Default::default() }).submit(&job);
+        for report in [&pool, &engine] {
+            assert_eq!(report.outcome, Outcome::Found { seed: client, distance: 2 });
+            let seeds: Vec<u64> = report.per_distance.iter().map(|s| s.seeds).collect();
+            assert_eq!(seeds, [1, 256, 32_640], "threads {}", report.threads);
+        }
+    }
+
+    #[test]
+    fn per_distance_seeds_sum_to_seeds_derived() {
+        let base = U256::from_u64(0x4321);
+        let client = base.flip_bit(9).flip_bit(99);
+        for mode in [SearchMode::EarlyExit, SearchMode::Exhaustive] {
+            let job = sha1_job(&client, &base, mode);
+            let pool = SupervisedPool::new(vec![cpu(), cpu()], fast_cfg()).submit(&job);
+            let engine =
+                CpuBackend::new(EngineConfig { threads: 2, ..Default::default() }).submit(&job);
+            for (name, report) in [("pool", pool), ("engine", engine)] {
+                let sum: u64 = report.per_distance.iter().map(|s| s.seeds).sum();
+                assert_eq!(sum, report.seeds_derived, "{name} {mode:?}");
+                assert_eq!(report.per_distance[0].d, 0, "{name} {mode:?}: the d = 0 row");
+            }
+        }
     }
 
     #[test]

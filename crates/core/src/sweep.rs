@@ -1,14 +1,14 @@
 //! The one batched search loop, and the cost it bills.
 //!
 //! Algorithm 1 is one loop: derive the candidates of a mask range,
-//! compare them, stop on a hit or at the threshold `T`. The engine's
-//! workers, the checkpointable shard sweep and the cluster's nodes all run
-//! it through `sweep`, and differ only in a stop policy. Each refill takes
-//! a batch of masks from the stream. Hash targets are prescreened on the
-//! 64-bit digest prefix with one [`Derive::prefix_hits`] call per batch,
-//! whose fused kernels XOR the masks into candidates, hash them and
-//! compare the prefixes in registers, returning only the indices that
-//! match. Only those prefix hits (p = 2⁻⁶⁴ per non-matching candidate)
+//! compare them, stop on a hit or at the threshold `T`. Two stop policies
+//! run it through `sweep`: the host shard sweep ([`crate::shard`]), which
+//! serves the engine's workers and the supervised pool's attempts alike,
+//! and the cluster's nodes. Each refill takes a batch of masks from the
+//! stream. Hash targets are prescreened on the 64-bit digest prefix with
+//! one [`Derive::prefix_hits`] call per batch, whose fused kernels XOR the
+//! masks into candidates, hash them and compare the prefixes in
+//! registers, returning only the indices that match. Only those prefix hits (p = 2⁻⁶⁴ per non-matching candidate)
 //! are rebuilt as seeds and pay for a full derivation, so accept/reject
 //! decisions are bit-identical to a full compare. Derivations without a
 //! prefix path (cipher / PQC keygen) XOR the batch into candidate seeds
@@ -17,7 +17,7 @@
 use std::ops::AddAssign;
 
 use rbc_bits::U256;
-use rbc_comb::{ChaseStream, MaskStream};
+use rbc_comb::MaskStream;
 
 use crate::derive::Derive;
 use crate::engine::EngineTelemetry;
@@ -46,33 +46,15 @@ impl AddAssign for SearchCost {
     }
 }
 
-/// A worker's mask range, refilled a batch at a time.
-pub(crate) trait MaskSource {
-    /// Fills `out` from the front; returns how many masks it wrote.
-    fn next_batch(&mut self, out: &mut [U256]) -> usize;
-}
-
-impl MaskSource for MaskStream {
-    fn next_batch(&mut self, out: &mut [U256]) -> usize {
-        MaskStream::next_batch(self, out)
-    }
-}
-
-impl MaskSource for ChaseStream {
-    fn next_batch(&mut self, out: &mut [U256]) -> usize {
-        ChaseStream::next_batch(self, out)
-    }
-}
-
 /// When a sweep stops, besides running out of masks.
-pub(crate) trait SweepPolicy<S> {
+pub(crate) trait SweepPolicy {
     /// `seed` derived to the target; returns whether to stop at it.
     fn hit(&mut self, seed: U256) -> bool;
 
     /// Called after each batch the sweep did not stop in, with the masks
     /// swept so far and `stream` positioned after the batch; returns
     /// whether to stop.
-    fn poll(&mut self, stream: &S, swept: u64) -> bool;
+    fn poll(&mut self, stream: &MaskStream, swept: u64) -> bool;
 }
 
 /// Sweeps `stream` in refills of at most `batch` masks until it runs out
@@ -80,14 +62,14 @@ pub(crate) trait SweepPolicy<S> {
 /// Candidates are `s_init ^ mask`; each one that derives to `target`
 /// goes to the policy in stream order. `telemetry`, when given, is ticked
 /// once per batch.
-pub(crate) fn sweep<D: Derive, S: MaskSource>(
+pub(crate) fn sweep<D: Derive>(
     derive: &D,
     target: &D::Out,
     s_init: &U256,
-    stream: &mut S,
+    stream: &mut MaskStream,
     batch: usize,
     telemetry: Option<&EngineTelemetry>,
-    policy: &mut impl SweepPolicy<S>,
+    policy: &mut impl SweepPolicy,
 ) -> (u64, SearchCost) {
     let target_prefix = derive.prefix64(target);
     let mut masks = vec![U256::ZERO; batch];
