@@ -24,7 +24,7 @@ pub use world::{FloodSchedule, Replay};
 
 use std::time::Instant;
 
-use rbc_bits::U256;
+use rbc_bits::{MaskRun, U256};
 use rbc_comb::{Alg515Stream, ChaseStream, GosperStream, MaskStream, SeedIterKind};
 use rbc_core::derive::Derive;
 use serde_json::Value as Json;
@@ -155,19 +155,21 @@ pub fn measure_derive_rate<D: Derive>(derive: &D, count: u64) -> f64 {
 }
 
 /// Measures the single-thread **batched** derivation rate in seeds/second:
-/// the inner loop of the deployed search — refill a batch of Chase masks
-/// (the engine's iterator) and push it through the derivation's
-/// prescreen ([`Derive::prefix_hits`], which XORs, hashes and compares
-/// in one fused call for hash derivations) or, when the derivation has no
-/// truncated path, XOR it into candidate seeds for `derive_batch`.
+/// the inner loop of the deployed search — refill a batch of Chase mask
+/// runs (the engine's iterator, [`MaskStream::next_runs`]) and push it
+/// through the derivation's prescreen ([`Derive::prefix_hits`], which
+/// builds, hashes and compares the candidates in one fused call for hash
+/// derivations) or, when the derivation has no truncated path, expand it
+/// into candidate seeds for `derive_batch`.
 ///
 /// This is the rate the deployed engine actually sustains per thread, and
 /// what the Table 5 / §4.3 CPU extrapolations calibrate against.
 pub fn measure_derive_rate_batched<D: Derive>(derive: &D, count: u64, batch: usize) -> f64 {
     let base = U256::from_limbs([0x1234, 0x5678, 0x9abc, 0xdef0]);
     let batch = batch.max(1);
-    let mut stream = ChaseStream::new_full(3);
-    let mut masks = vec![U256::ZERO; batch];
+    let fresh = || MaskStream::Chase(ChaseStream::new_full(3));
+    let mut stream = fresh();
+    let mut runs: Vec<MaskRun> = Vec::new();
     let mut seeds: Vec<U256> = Vec::with_capacity(batch);
     let mut hits: Vec<usize> = Vec::new();
     let mut outs: Vec<D::Out> = Vec::with_capacity(batch);
@@ -177,17 +179,17 @@ pub fn measure_derive_rate_batched<D: Derive>(derive: &D, count: u64, batch: usi
     let start = Instant::now();
     let mut done = 0u64;
     while done < count {
-        let n = stream.next_batch(&mut masks);
+        let n = stream.next_runs(&mut runs, batch);
         if n == 0 {
-            stream = ChaseStream::new_full(3);
+            stream = fresh();
             continue;
         }
         if let Some(tp) = target_prefix {
-            derive.prefix_hits(&base, &masks[..n], tp, &mut hits);
+            derive.prefix_hits(&base, &runs, tp, &mut hits);
             std::hint::black_box(&hits);
         } else {
             seeds.clear();
-            seeds.extend(masks[..n].iter().map(|m| base ^ *m));
+            seeds.extend(runs.iter().flat_map(MaskRun::masks).map(|m| base ^ m));
             derive.derive_batch(&seeds, &mut outs);
             std::hint::black_box(&outs);
         }
@@ -296,6 +298,17 @@ pub fn measure_hash_lane_rates(count: u64) -> Vec<LaneMeasurement> {
         (0..4096).map(|_| U256::from_limbs([next(), next(), next(), next()])).collect();
     let n = seeds.len() as u64;
     let seeds = &seeds;
+    // The prescreen rows' input: the runs of the first Chase d = 3
+    // batches, 1,024 masks each, as many masks as the other rows hash.
+    let mut chase = MaskStream::Chase(ChaseStream::new_full(3));
+    let batches: Vec<Vec<MaskRun>> = (0..n / 1024)
+        .map(|_| {
+            let mut runs = Vec::new();
+            chase.next_runs(&mut runs, 1024);
+            runs
+        })
+        .collect();
+    let batches = &batches;
 
     let plan = dispatch::kernel_plan();
     let selected = |hash: &str, width: usize, kernel: SimdLevel| -> bool {
@@ -410,12 +423,15 @@ pub fn measure_hash_lane_rates(count: u64) -> Vec<LaneMeasurement> {
         dispatch::sha1_prefix64_batch(seeds, &mut prefixes1);
         std::hint::black_box(&prefixes1);
     });
-    // The prescreen over the seeds as masks; the target matches none.
+    // The prescreen as the search loop calls it, on Chase batches; the
+    // target matches none.
     let s_init = seeds[0];
     let mut hits1 = Vec::new();
     push!("SHA-1", "dispatch prefix_hits", active, sha1_widest, true, move || {
-        dispatch::sha1_prefix_hits(&s_init, seeds, 0, &mut hits1);
-        std::hint::black_box(&hits1);
+        for runs in batches {
+            dispatch::sha1_prefix_hits(&s_init, runs, 0, &mut hits1);
+            std::hint::black_box(&hits1);
+        }
     });
     let mut digests3 = Vec::with_capacity(seeds.len());
     push!("SHA-3", "dispatch", active, sha3_widest, true, move || {
@@ -431,8 +447,10 @@ pub fn measure_hash_lane_rates(count: u64) -> Vec<LaneMeasurement> {
     });
     let mut hits3 = Vec::new();
     push!("SHA-3", "dispatch prefix_hits", active, sha3_widest, true, move || {
-        dispatch::sha3_256_prefix_hits(&s_init, seeds, 0, &mut hits3);
-        std::hint::black_box(&hits3);
+        for runs in batches {
+            dispatch::sha3_256_prefix_hits(&s_init, runs, 0, &mut hits3);
+            std::hint::black_box(&hits3);
+        }
     });
 
     let calls = (count / (WINDOWS as u64 * n)).max(1);
@@ -975,8 +993,9 @@ pub fn triage_artifact(
 
 /// Measures mask-generation-only rate (masks/second, single thread) for a
 /// seed iterator at distance `d` over `count` masks — the Table 4 raw
-/// ingredient. Masks come out in 1024-mask refills through
-/// [`MaskStream::next_batch`], the way the search loop consumes them.
+/// ingredient. Masks are written out in 1024-mask refills through
+/// [`MaskStream::next_batch`]; the search loop takes the same masks as
+/// runs ([`MaskStream::next_runs`]) and never writes them out.
 pub fn measure_iter_rate(kind: SeedIterKind, d: u32, count: u64) -> f64 {
     let fresh = || match kind {
         SeedIterKind::Gosper => MaskStream::Gosper(GosperStream::new(d)),

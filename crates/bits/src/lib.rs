@@ -9,7 +9,9 @@
 //! 256 bits. This crate provides [`U256`]: a four-limb little-endian integer
 //! with exactly the operations the seed iterators and the protocol need —
 //! wrapping arithmetic, Boolean algebra, shifts, bit addressing, Hamming
-//! weight/distance, and byte/hex conversions.
+//! weight/distance, and byte/hex conversions. [`MaskRun`] is the form in
+//! which a batch of bit-flip masks travels from the seed iterators to the
+//! hash kernels.
 //!
 //! The limb order is **little-endian**: `limbs[0]` holds bits `0..64`.
 //! Bit `i` of the seed is bit `i % 64` of limb `i / 64`.
@@ -26,8 +28,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod run;
 mod u256;
 
+pub use run::MaskRun;
 pub use u256::{SetBits, U256};
 
 /// Number of bits in an RBC seed.

@@ -26,23 +26,27 @@
 //! state is a fixed-size [`Copy`] value, so snapshots and checkpoints cost
 //! a 72-byte copy.
 //!
-//! [`ChaseStream::next_batch`] emits the dominant step in bulk. About 97%
-//! of steps at `d = 3` over 256 positions move the lowest element `j` up
-//! one place into a position that is neither in the mask nor zero, so a
-//! run of them is found with one `trailing_zeros` over `mask | zero`
+//! [`ChaseStream::next_runs`] hands the dominant step over in bulk. About
+//! 97% of steps at `d = 3` over 256 positions move the lowest element `j`
+//! up one place into a position that is neither in the mask nor zero, so
+//! a run of them is found with one `trailing_zeros` over `mask | zero`
 //! above `j` (capped at `n`). The run's masks are `base | 1 << q` for
-//! consecutive `q`, each limb built branch-free, and the state jumps over
-//! the whole run with one range-OR on the zero map and one move of the
-//! mask bit — no per-mask variable-index store that the next mask would
-//! have to reload. A run never steps past a range's last mask, so
-//! checkpoints and [`ChaseTable`] snapshots are the same as stepping one
-//! mask at a time.
+//! consecutive `q` — one [`MaskRun`], 43 masks long on average at
+//! `d = 3` — and the state jumps over the whole run with one range-OR on
+//! the zero map and one move of the mask bit, with no per-mask
+//! variable-index store that the next mask would have to reload. Any
+//! other step yields a one-mask run. The search loop passes the runs
+//! straight to the hash prescreen, which builds the candidates in
+//! registers; [`ChaseStream::next_batch`] writes the same masks out one by
+//! one (Table 4's iterator rate). A run never steps past a range's last
+//! mask, so checkpoints and [`ChaseTable`] snapshots are the same as
+//! stepping one mask at a time.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::binomial::binomial;
-use rbc_bits::U256;
+use rbc_bits::{MaskRun, U256};
 
 /// Bit maps over the 256 positions; bit `q` describes twiddle's `p[q+1]`.
 type Words = [u64; 4];
@@ -279,13 +283,33 @@ impl ChaseStream {
     /// Fills `out` from the front with the next masks and returns how many
     /// were written. Fewer than `out.len()` only when the stream runs out
     /// (then 0 forever after).
-    ///
-    /// Runs of the dominant step are written in bulk: the run's masks are
-    /// `base | 1 << q` for consecutive `q`, and the state jumps over the
-    /// whole run with one range update (see the module docs).
     #[inline]
     pub fn next_batch(&mut self, out: &mut [U256]) -> usize {
-        let want = usize::try_from(self.remaining).map_or(out.len(), |r| r.min(out.len()));
+        let mut n = 0;
+        self.emit(out.len(), |run| {
+            let len = run.span().len();
+            for (k, slot) in (0..).zip(&mut out[n..n + len]) {
+                *slot = run.mask(k);
+            }
+            n += len;
+        })
+    }
+
+    /// Clears `runs` and fills it with the masks a `max`-slot
+    /// [`ChaseStream::next_batch`] would write, in the same order, as runs
+    /// of the dominant step (see the module docs); returns how many masks
+    /// they hold. The stream ends in the same state as after that batch.
+    #[inline]
+    pub fn next_runs(&mut self, runs: &mut Vec<MaskRun>, max: usize) -> usize {
+        runs.clear();
+        self.emit(max, |run| runs.push(run))
+    }
+
+    /// Hands the next at most `max` masks to `sink` as runs and returns
+    /// how many masks it handed over.
+    #[inline(always)]
+    fn emit(&mut self, max: usize, mut sink: impl FnMut(MaskRun)) -> usize {
+        let want = usize::try_from(self.remaining).map_or(max, |r| r.min(max));
         // The range ends inside this batch: the generator stops on its
         // last mask instead of stepping past it.
         let ends_range = self.remaining == want as u128;
@@ -293,7 +317,7 @@ impl ChaseStream {
         while n < want {
             let run = self.state.run_len();
             if run == 0 {
-                out[n] = self.state.mask();
+                sink(MaskRun::single(self.state.mask()));
                 n += 1;
                 if (n < want || !ends_range) && !self.state.advance() {
                     // The caller asked for more masks than the sequence holds.
@@ -308,15 +332,10 @@ impl ChaseStream {
             let k = (run + 1).min(want - n);
             let mut base = self.state.mask;
             flip(&mut base, j);
-            for (slot, q) in out[n..n + k].iter_mut().zip(j..) {
-                let (limb, w) = (q / 64, 1u64 << (q % 64));
-                *slot = U256::from_limbs(core::array::from_fn(|i| {
-                    base[i] | if limb == i { w } else { 0 }
-                }));
-            }
+            sink(MaskRun::new(U256::from_limbs(base), j as u32..(j + k) as u32));
             n += k;
-            // Step past the last mask written unless it ends the range;
-            // past the run's end that takes one general step.
+            // Step past the last mask handed over unless it ends the
+            // range; past the run's end that takes one general step.
             let steps = if n == want && ends_range { k - 1 } else { k };
             if steps > 0 {
                 self.state.skip_run(j, steps.min(run));

@@ -36,7 +36,7 @@ pub use classic::{Alg154, RevolvingDoor};
 pub use gosper::{gosper_next, GosperStream};
 pub use rank::{colex_rank, colex_unrank, lex_rank, lex_unrank, Positions};
 
-use rbc_bits::U256;
+use rbc_bits::{MaskRun, U256};
 
 /// The seed-iteration methods evaluated in the paper (Table 4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -122,6 +122,30 @@ impl MaskStream {
             MaskStream::Gosper(s) => fill!(s),
             MaskStream::Alg515(s) => fill!(s),
             MaskStream::Chase(s) => s.next_batch(out),
+        }
+    }
+
+    /// Clears `runs` and fills it with exactly the masks a `max`-slot
+    /// [`MaskStream::next_batch`] would write, in the same order, and
+    /// returns how many masks the runs hold; the stream ends in the same
+    /// state as after that batch. This is the search loop's refill: the
+    /// hash prescreen builds each run's candidates in registers.
+    ///
+    /// Chase's stream emits whole runs of its dominant step (see
+    /// [`chase`]); Gosper's and Algorithm 515's emit one-mask runs.
+    #[inline]
+    pub fn next_runs(&mut self, runs: &mut Vec<MaskRun>, max: usize) -> usize {
+        macro_rules! singles {
+            ($s:expr) => {{
+                runs.clear();
+                runs.extend($s.by_ref().take(max).map(MaskRun::single));
+                runs.len()
+            }};
+        }
+        match self {
+            MaskStream::Gosper(s) => singles!(s),
+            MaskStream::Alg515(s) => singles!(s),
+            MaskStream::Chase(s) => s.next_runs(runs, max),
         }
     }
 
@@ -252,6 +276,69 @@ mod tests {
                     // Exhausted streams keep returning empty batches.
                     assert_eq!(stream.next_batch(&mut buf), 0, "{kind}");
                 }
+            }
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// `next_runs` is `next_batch` in another shape: from a
+            /// checkpoint (a clone taken mid-stream) of any worker slice
+            /// of any iterator, refills of `max` masks yield the same
+            /// masks in runs that satisfy the run invariant, and both
+            /// streams end with the same `remaining()` and the same later
+            /// masks.
+            #[test]
+            fn runs_are_the_batch(
+                kind in 0usize..3,
+                d in 1u32..=3,
+                max in 0usize..6,
+                workers in 1usize..=4,
+                w in 0usize..4,
+                near_end in any::<bool>(),
+                skip in 0u64..2_000,
+            ) {
+                let kind = SeedIterKind::ALL[kind];
+                let max = [1usize, 7, 31, 32, 33, 1024][max];
+                let mut stream = plan_streams(kind, d, workers).swap_remove(w % workers);
+                // Only d <= 2 slices are short enough to step to their end.
+                let skip = skip as u128;
+                let skip = if near_end && d <= 2 {
+                    stream.remaining().saturating_sub(skip)
+                } else {
+                    skip.min(stream.remaining())
+                };
+                let mut buf = vec![U256::ZERO; 1024];
+                let mut left = skip;
+                while left > 0 {
+                    let n = stream.next_batch(&mut buf[..left.min(1024) as usize]);
+                    left -= n as u128;
+                }
+                let (mut batches, mut running) = (stream.clone(), stream);
+                let mut runs = Vec::new();
+                for _ in 0..8 {
+                    let n = batches.next_batch(&mut buf[..max]);
+                    prop_assert_eq!(running.next_runs(&mut runs, max), n);
+                    let expanded: Vec<U256> = runs.iter().flat_map(MaskRun::masks).collect();
+                    prop_assert_eq!(&expanded[..], &buf[..n]);
+                    for run in &runs {
+                        let span = run.span();
+                        prop_assert!(!span.is_empty());
+                        prop_assert!(span.end <= run.base().trailing_zeros(), "{:?}", run);
+                        prop_assert_eq!(run.base().count_ones() + 1, d);
+                    }
+                    prop_assert_eq!(batches.remaining(), running.remaining());
+                    if n == 0 {
+                        break;
+                    }
+                }
+                let later: Vec<U256> = batches.take(100).collect();
+                prop_assert_eq!(running.take(100).collect::<Vec<_>>(), later);
             }
         }
     }

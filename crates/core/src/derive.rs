@@ -9,7 +9,7 @@
 //! focused on a single search method".
 
 use core::fmt;
-use rbc_bits::U256;
+use rbc_bits::{MaskRun, U256};
 use rbc_ciphers::SeedCipher;
 use rbc_hash::{DynDigest, HashAlgo, SeedHash};
 use rbc_pqc::PqcKeyGen;
@@ -53,23 +53,24 @@ pub trait Derive: Clone + Send + Sync + 'static {
     }
 
     /// The prescreen of one batch: clears `hits`, then pushes, in
-    /// ascending order, every index `i` whose candidate
-    /// `s_init ^ masks[i]` has prescreen key `target_prefix`. Only called
-    /// when [`Derive::prefix64`] returned `Some` for the target; the
-    /// default derives each candidate fully and truncates. Hash
-    /// derivations override with fused kernels that XOR, hash and compare
-    /// without materializing the candidates.
+    /// ascending order, every index `i` of the batch `runs` lists (its
+    /// masks counted across runs) whose candidate `s_init ^ mask_i` has
+    /// prescreen key `target_prefix`. Only called when
+    /// [`Derive::prefix64`] returned `Some` for the target; the default
+    /// derives each candidate fully and truncates. Hash derivations
+    /// override with fused kernels that build, hash and compare the
+    /// candidates without materializing masks or seeds.
     fn prefix_hits(
         &self,
         s_init: &U256,
-        masks: &[U256],
+        runs: &[MaskRun],
         target_prefix: u64,
         hits: &mut Vec<usize>,
     ) {
         hits.clear();
-        for (i, mask) in masks.iter().enumerate() {
+        for (i, mask) in runs.iter().flat_map(MaskRun::masks).enumerate() {
             let key = self
-                .prefix64(&self.derive(&(*s_init ^ *mask)))
+                .prefix64(&self.derive(&(*s_init ^ mask)))
                 .expect("prefix_hits called on a derivation without prefix support");
             if key == target_prefix {
                 hits.push(i);
@@ -106,11 +107,11 @@ impl<H: SeedHash> Derive for HashDerive<H> {
     fn prefix_hits(
         &self,
         s_init: &U256,
-        masks: &[U256],
+        runs: &[MaskRun],
         target_prefix: u64,
         hits: &mut Vec<usize>,
     ) {
-        self.0.prefix_hits(s_init, masks, target_prefix, hits);
+        self.0.prefix_hits(s_init, runs, target_prefix, hits);
     }
 }
 
@@ -148,11 +149,11 @@ impl Derive for DynHashDerive {
     fn prefix_hits(
         &self,
         s_init: &U256,
-        masks: &[U256],
+        runs: &[MaskRun],
         target_prefix: u64,
         hits: &mut Vec<usize>,
     ) {
-        self.0.prefix_hits(s_init, masks, target_prefix, hits);
+        self.0.prefix_hits(s_init, runs, target_prefix, hits);
     }
 }
 
@@ -267,22 +268,25 @@ mod tests {
         // The CA's runtime-dispatched derivation and the static engines'
         // must pick exactly the candidates the unfused default picks —
         // same prescreen decisions on the same hot path.
+        // 53 masks: a run of 40 crossing bit 64, then 13 one-mask runs.
         let s_init = U256::from_limbs([3, 1, 4, 1]);
-        let masks: Vec<U256> = (0..53u64).map(|i| U256::from_u64(i * 31 + 5)).collect();
-        fn check<D: Derive>(d: D, s_init: &U256, masks: &[U256]) {
+        let mut runs = vec![MaskRun::new(U256::from_set_bits([90, 200]), 40..80)];
+        runs.extend((0..13u64).map(|i| MaskRun::single(U256::from_u64(i * 31 + 5))));
+        fn check<D: Derive>(d: D, s_init: &U256, runs: &[MaskRun]) {
             let (mut got, mut want) = (vec![usize::MAX], Vec::new());
-            for pick in [0, 17, masks.len() - 1] {
-                let tp = d.prefix64(&d.derive(&(*s_init ^ masks[pick]))).unwrap();
-                d.prefix_hits(s_init, masks, tp, &mut got);
-                Unfused(d.clone()).prefix_hits(s_init, masks, tp, &mut want);
+            for pick in [0, 17, 39, 40, 52] {
+                let mask = MaskRun::nth(runs, pick).unwrap();
+                let tp = d.prefix64(&d.derive(&(*s_init ^ mask))).unwrap();
+                d.prefix_hits(s_init, runs, tp, &mut got);
+                Unfused(d.clone()).prefix_hits(s_init, runs, tp, &mut want);
                 assert_eq!(got, want, "{} pick {pick}", d.name());
                 assert_eq!(got, vec![pick], "{}", d.name());
             }
         }
-        check(HashDerive(Sha1Fixed), &s_init, &masks);
-        check(HashDerive(Sha3Fixed), &s_init, &masks);
+        check(HashDerive(Sha1Fixed), &s_init, &runs);
+        check(HashDerive(Sha3Fixed), &s_init, &runs);
         for algo in HashAlgo::ALL {
-            check(DynHashDerive(algo), &s_init, &masks);
+            check(DynHashDerive(algo), &s_init, &runs);
         }
     }
 
@@ -296,7 +300,8 @@ mod tests {
         assert_eq!(h.prefix64(&digest), Some(u64::from_le_bytes(first)));
 
         let mut hits = Vec::new();
-        h.prefix_hits(&seed, &[U256::ZERO, U256::ONE], u64::from_le_bytes(first), &mut hits);
+        let runs = [MaskRun::single(U256::ZERO), MaskRun::single(U256::ONE)];
+        h.prefix_hits(&seed, &runs, u64::from_le_bytes(first), &mut hits);
         assert_eq!(hits, vec![0]);
 
         let c = CipherDerive(AesResponse);

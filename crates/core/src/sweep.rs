@@ -5,18 +5,22 @@
 //! run it through `sweep`: the host shard sweep ([`crate::shard`]), which
 //! serves the engine's workers and the supervised pool's attempts alike,
 //! and the cluster's nodes. Each refill takes a batch of masks from the
-//! stream. Hash targets are prescreened on the 64-bit digest prefix with
-//! one [`Derive::prefix_hits`] call per batch, whose fused kernels XOR the
-//! masks into candidates, hash them and compare the prefixes in
-//! registers, returning only the indices that match. Only those prefix hits (p = 2⁻⁶⁴ per non-matching candidate)
-//! are rebuilt as seeds and pay for a full derivation, so accept/reject
-//! decisions are bit-identical to a full compare. Derivations without a
-//! prefix path (cipher / PQC keygen) XOR the batch into candidate seeds
-//! and take full-compare batches. Stop polls are paid once per batch.
+//! stream as [`MaskRun`]s ([`MaskStream::next_runs`]): runs of Chase's
+//! dominant step, masks `base | 1 << q` for consecutive `q`. Hash targets
+//! are prescreened on the 64-bit digest prefix with one
+//! [`Derive::prefix_hits`] call per batch, whose fused kernels build the
+//! candidates `s_init ^ mask` from the runs, hash them and compare the
+//! prefixes in registers, returning only the indices that match; no mask
+//! is written out. Only those prefix hits (p = 2⁻⁶⁴ per non-matching
+//! candidate) are rebuilt as seeds and pay for a full derivation, so
+//! accept/reject decisions are bit-identical to a full compare.
+//! Derivations without a prefix path (cipher / PQC keygen) expand the
+//! runs into candidate seeds and take full-compare batches. Stop polls
+//! are paid once per batch.
 
 use std::ops::AddAssign;
 
-use rbc_bits::U256;
+use rbc_bits::{MaskRun, U256};
 use rbc_comb::MaskStream;
 
 use crate::derive::Derive;
@@ -72,26 +76,25 @@ pub(crate) fn sweep<D: Derive>(
     policy: &mut impl SweepPolicy,
 ) -> (u64, SearchCost) {
     let target_prefix = derive.prefix64(target);
-    let mut masks = vec![U256::ZERO; batch];
+    let mut runs: Vec<MaskRun> = Vec::new();
     let mut hits: Vec<usize> = Vec::new();
     // Only the full-compare path materializes candidates.
     let mut seeds: Vec<U256> = Vec::new();
     let mut outs: Vec<D::Out> = Vec::new();
     let (mut swept, mut total) = (0u64, SearchCost::default());
     loop {
-        let n = stream.next_batch(&mut masks);
+        let n = stream.next_runs(&mut runs, batch);
         if n == 0 {
             return (swept, total);
         }
-        let batch_masks = &masks[..n];
         swept += n as u64;
 
         let mut cost = SearchCost { batches: 1, ..SearchCost::default() };
         let mut stop = false;
         if let Some(tp) = target_prefix {
-            derive.prefix_hits(s_init, batch_masks, tp, &mut hits);
+            derive.prefix_hits(s_init, &runs, tp, &mut hits);
             for &i in &hits {
-                let seed = *s_init ^ batch_masks[i];
+                let seed = *s_init ^ MaskRun::nth(&runs, i).expect("a hit lies in the batch");
                 cost.prefix_hits += 1;
                 if derive.derive(&seed) != *target {
                     cost.prefix_false_positives += 1;
@@ -102,7 +105,7 @@ pub(crate) fn sweep<D: Derive>(
             }
         } else {
             seeds.clear();
-            seeds.extend(batch_masks.iter().map(|m| *s_init ^ *m));
+            seeds.extend(runs.iter().flat_map(MaskRun::masks).map(|m| *s_init ^ m));
             derive.derive_batch(&seeds, &mut outs);
             stop = seeds.iter().zip(&outs).any(|(seed, out)| *out == *target && policy.hit(*seed));
         }

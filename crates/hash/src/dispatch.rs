@@ -11,18 +11,24 @@
 //! | `avx2`     | 8-wide `__m256i`                     | 4-wide `__m256i` |
 //! | `portable` | scalar                               | scalar           |
 //!
-//! Within a batch the dispatcher drains the widest selected kernel first,
-//! then the next, and finishes the tail scalar — so every batch length is
-//! bit-identical to the scalar path regardless of tier.
+//! Within a digest or prefix64 batch the dispatcher drains the widest
+//! selected kernel first, then the next, and finishes the tail scalar —
+//! so every batch length is bit-identical to the scalar path regardless
+//! of tier.
 //!
 //! The search loop's prescreen is one call per batch:
 //! [`sha1_prefix_hits`] / [`sha3_256_prefix_hits`] take the worker's
-//! `s_init`, the batch's masks and the target prefix, and return the
-//! indices whose candidate matches. At the AVX-512 tier the kernels XOR,
-//! hash and compare in registers — SHA-1 over two interleaved 16-lane
-//! blocks (the 32-wide row), then one block; digest and prefix64 batches
-//! start at 16 lanes, and one round core serves all three. Below
-//! AVX-512 the prescreens XOR stack chunks into seeds and compare the
+//! `s_init`, the batch as [`MaskRun`]s (runs of Chase's dominant step,
+//! masks `base | 1 << q` for consecutive `q`) and the target prefix, and
+//! return the indices whose candidate matches. At the AVX-512 tier the
+//! kernels build each candidate `s_init ^ mask` in registers from its
+//! run, hash it and compare, packing lanes across run boundaries — SHA-1
+//! over two interleaved 16-lane blocks (the 32-wide row), then one block
+//! — and a live-lane mask covers the batch's tail, so the prescreen has
+//! no narrower drain and no mask is ever written out. Digest and
+//! prefix64 batches start at 16 lanes and drain down; one round core
+//! serves all three. Below AVX-512 the prescreens expand the runs into
+//! seeds on the stack, a kernel's width at a time, and compare the
 //! narrower kernels' prefixes, with no heap allocation.
 //!
 //! The portable tier selects no interleaved kernel at all: the whole
@@ -45,7 +51,7 @@
 use crate::lanes;
 use crate::sha1::{self, Sha1Digest};
 use crate::sha3::{self, Sha3_256Digest};
-use rbc_bits::U256;
+use rbc_bits::{MaskRun, U256};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -161,8 +167,9 @@ pub struct KernelSelection {
 /// The (algo, width, kernel) table the dispatcher drains batches through
 /// at the current [`active_level`], widest first per algorithm. Scalar
 /// tails (width 1) are implied and not listed. The SHA-1 width-32 row is
-/// the fused prescreen's ([`sha1_prefix_hits`]); the other SHA-1 entry
-/// points start at width 16.
+/// the fused prescreen's ([`sha1_prefix_hits`]), which at AVX-512 runs
+/// every mask through the 32- and 16-lane rows; the digest and prefix64
+/// entry points start at width 16 and drain through the rest.
 pub fn kernel_plan() -> Vec<KernelSelection> {
     let row = |algo, width, kernel| KernelSelection { algo, width, kernel };
     match active_level() {
@@ -294,91 +301,98 @@ pub fn sha3_256_prefix64_batch(seeds: &[U256], out: &mut Vec<u64>) {
     out.extend(rest.iter().map(lanes::sha3_256_fixed32_prefix64));
 }
 
-/// Pushes `base + i` for every mask `i` among whole `W`-mask chunks of
-/// `masks` whose seed `s_init ^ masks[i]` has prefix `target_prefix`
-/// under `kernel`, XORing each chunk into seeds on the stack; returns the
-/// masks consumed.
-fn chunked_hits<const W: usize>(
+/// The prescreen below AVX-512: pushes the index of every mask of the
+/// batch `runs` lists whose candidate `s_init ^ mask` has prefix
+/// `target_prefix`, expanding the runs into `W` seeds at a time on the
+/// stack for `kernel` and the last fewer than `W` for `tail`.
+fn expanded_hits<const W: usize>(
     s_init: &U256,
-    masks: &[U256],
+    runs: &[MaskRun],
     target_prefix: u64,
-    base: usize,
     hits: &mut Vec<usize>,
     kernel: fn(&[U256; W]) -> [u64; W],
-) -> usize {
-    let chunks = masks.chunks_exact(W);
-    let consumed = masks.len() - chunks.remainder().len();
-    for (c, chunk) in chunks.enumerate() {
-        let seeds: [U256; W] = core::array::from_fn(|i| *s_init ^ chunk[i]);
-        for (lane, prefix) in kernel(&seeds).into_iter().enumerate() {
-            if prefix == target_prefix {
-                hits.push(base + c * W + lane);
+    tail: fn(&U256) -> u64,
+) {
+    let mut seeds = [U256::ZERO; W];
+    let (mut filled, mut done) = (0, 0);
+    for mask in runs.iter().flat_map(MaskRun::masks) {
+        seeds[filled] = *s_init ^ mask;
+        filled += 1;
+        if filled == W {
+            for (lane, prefix) in kernel(&seeds).into_iter().enumerate() {
+                if prefix == target_prefix {
+                    hits.push(done + lane);
+                }
             }
+            (filled, done) = (0, done + W);
         }
     }
-    consumed
+    for (lane, seed) in seeds[..filled].iter().enumerate() {
+        if tail(seed) == target_prefix {
+            hits.push(done + lane);
+        }
+    }
 }
 
 /// The search loop's prescreen under SHA-1: clears `hits`, then pushes,
-/// in ascending order, every index `i` whose candidate seed
-/// `s_init ^ masks[i]` has 64-bit digest prefix `target_prefix`, at the
-/// active tier. The same indices as filtering
-/// `sha1_fixed32_prefix64(s_init ^ m) == target_prefix` for every tier
-/// and length.
+/// in ascending order, every index `i` of the batch `runs` lists (its
+/// masks counted across runs) whose candidate seed `s_init ^ mask_i` has
+/// 64-bit digest prefix `target_prefix`, at the active tier. The same
+/// indices as filtering `sha1_fixed32_prefix64(s_init ^ m) == target_prefix`
+/// over the expanded masks, for every tier and batch.
 ///
-/// At the AVX-512 tier the seeds are XORed, hashed and compared in
-/// registers (32 masks per call, then 16); narrower tiers XOR chunks
-/// into seeds on the stack and compare their prefixes. No tier
+/// At the AVX-512 tier the candidates are built from the runs, hashed
+/// and compared in registers, 32 lanes per call, with no narrower drain;
+/// the AVX2 tier expands 8 seeds at a time on the stack for its x8
+/// kernel and the portable tier hashes each seed scalar. No tier
 /// allocates beyond `hits`.
-pub fn sha1_prefix_hits(s_init: &U256, masks: &[U256], target_prefix: u64, hits: &mut Vec<usize>) {
-    let tp = target_prefix;
-    hits.clear();
-    let mut done = 0;
-    match active_level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => {
-            done = lanes_avx512::sha1_prefix_hits(s_init, masks, tp, hits);
-            let x8 = lanes_avx2::sha1_fixed32_prefix64_x8;
-            done += chunked_hits(s_init, &masks[done..], tp, done, hits, x8);
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => {
-            done = chunked_hits(s_init, masks, tp, 0, hits, lanes_avx2::sha1_fixed32_prefix64_x8);
-        }
-        _ => {}
-    }
-    let scalar = |s: &[U256; 1]| [lanes::sha1_fixed32_prefix64(&s[0])];
-    chunked_hits(s_init, &masks[done..], tp, done, hits, scalar);
-}
-
-/// [`sha1_prefix_hits`] under SHA3-256: the AVX-512 tier gathers, XORs
-/// and compares 8 masks per Keccak call in registers, then the AVX2 x4
-/// kernel and the scalar path drain the rest.
-pub fn sha3_256_prefix_hits(
+pub fn sha1_prefix_hits(
     s_init: &U256,
-    masks: &[U256],
+    runs: &[MaskRun],
     target_prefix: u64,
     hits: &mut Vec<usize>,
 ) {
-    let tp = target_prefix;
+    let (tp, scalar) = (target_prefix, lanes::sha1_fixed32_prefix64);
     hits.clear();
-    let mut done = 0;
     match active_level() {
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => {
-            done = lanes_avx512::sha3_256_prefix_hits(s_init, masks, tp, hits);
-            let x4 = lanes_avx2::sha3_256_fixed32_prefix64_x4;
-            done += chunked_hits(s_init, &masks[done..], tp, done, hits, x4);
+        SimdLevel::Avx512 => lanes_avx512::sha1_prefix_hits(s_init, runs, tp, hits),
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            expanded_hits(s_init, runs, tp, hits, lanes_avx2::sha1_fixed32_prefix64_x8, scalar);
         }
+        _ => {
+            let x1 = |s: &[U256; 1]| [lanes::sha1_fixed32_prefix64(&s[0])];
+            expanded_hits(s_init, runs, tp, hits, x1, scalar);
+        }
+    }
+}
+
+/// [`sha1_prefix_hits`] under SHA3-256: the AVX-512 tier builds,
+/// permutes and compares 8 candidates per Keccak call in registers, with
+/// the last round cut to the digest prefix's lane; the AVX2 tier expands
+/// 4 seeds at a time for its x4 kernel.
+pub fn sha3_256_prefix_hits(
+    s_init: &U256,
+    runs: &[MaskRun],
+    target_prefix: u64,
+    hits: &mut Vec<usize>,
+) {
+    let (tp, scalar) = (target_prefix, lanes::sha3_256_fixed32_prefix64);
+    hits.clear();
+    match active_level() {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => lanes_avx512::sha3_256_prefix_hits(s_init, runs, tp, hits),
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => {
             let x4 = lanes_avx2::sha3_256_fixed32_prefix64_x4;
-            done = chunked_hits(s_init, masks, tp, 0, hits, x4);
+            expanded_hits(s_init, runs, tp, hits, x4, scalar);
         }
-        _ => {}
+        _ => {
+            let x1 = |s: &[U256; 1]| [lanes::sha3_256_fixed32_prefix64(&s[0])];
+            expanded_hits(s_init, runs, tp, hits, x1, scalar);
+        }
     }
-    let scalar = |s: &[U256; 1]| [lanes::sha3_256_fixed32_prefix64(&s[0])];
-    chunked_hits(s_init, &masks[done..], tp, done, hits, scalar);
 }
 
 #[cfg(test)]
@@ -454,9 +468,11 @@ mod tests {
         let seeds: Vec<U256> = (0..37u64)
             .map(|i| U256::from_limbs([i.wrapping_mul(0x9E37_79B9), !i, i << 9, i ^ 0xA5]))
             .collect();
-        // 70 masks drain x32 twice, then x8 and a scalar tail at AVX-512.
+        // 70 one-mask runs: two full x32 vectors, then a partial one at
+        // AVX-512; x8 vectors and a scalar tail at AVX2.
         let s_init = seeds[5];
         let masks: Vec<U256> = (0..70).map(|i| seeds[i % seeds.len()]).collect();
+        let runs: Vec<MaskRun> = masks.iter().copied().map(MaskRun::single).collect();
         let tp1 = lanes::sha1_fixed32_prefix64(&(s_init ^ masks[40]));
         let tp3 = lanes::sha3_256_fixed32_prefix64(&(s_init ^ masks[40]));
         let detected = detected_level();
@@ -475,8 +491,8 @@ mod tests {
             sha3_256_digest_batch(&seeds, &mut d3);
             sha1_prefix64_batch(&seeds, &mut p1);
             sha3_256_prefix64_batch(&seeds, &mut p3);
-            sha1_prefix_hits(&s_init, &masks, tp1, &mut h1);
-            sha3_256_prefix_hits(&s_init, &masks, tp3, &mut h3);
+            sha1_prefix_hits(&s_init, &runs, tp1, &mut h1);
+            sha3_256_prefix_hits(&s_init, &runs, tp3, &mut h3);
             // masks[40] repeats masks[3] (the seeds cycle every 37): both hit.
             assert_eq!(h1, vec![3, 40], "sha1 prefix hits @ {level}");
             assert_eq!(h3, vec![3, 40], "sha3 prefix hits @ {level}");

@@ -10,22 +10,30 @@
 //! * `vpternlogd` / `vpternlogq` — arbitrary three-input boolean
 //!   functions, collapsing SHA-1's ch/maj (3–4 logic ops) and Keccak's
 //!   θ-xor and χ (xor + andnot + xor) to single instructions, and
-//! * `vpgatherdd` / `vpgatherqq` — seeds load straight from the caller's
-//!   slice into lane-major vectors, with no scalar transpose; SHA-1's
-//!   big-endian words then take a rotate-based byte swap.
+//! * opmask registers — per-lane writes, compares and live-lane masks, so
+//!   the search prescreens pack lanes across mask runs and cover a
+//!   batch's ragged tail without a narrower kernel.
 //!
 //! Each algorithm has one round core. The digest and prefix64 entry
-//! points run it on seeds; the fused prescreens
-//! ([`sha1_prefix_hits`], [`sha3_256_prefix_hits`]) run it on
-//! `s_init ^ mask` XORed in registers and compare the target prefix with
-//! `vpcmpeq`, so the search loop never materializes candidates or
+//! points run it on seed arrays, loaded with `vpgatherdd` / `vpgatherqq`
+//! (one gather per message word, no scalar transpose). The fused
+//! prescreens ([`sha1_prefix_hits`], [`sha3_256_prefix_hits`]) run it on
+//! candidates built in registers from the search's [`MaskRun`]s: lanes
+//! are packed across run boundaries; each run segment masked-broadcasts
+//! the words of `s_init ^ base` into its lanes, and one compare-mask and
+//! one variable shift per word set the moving bit `1 << q` (for SHA-1's
+//! big-endian words the byte swap folds into the shift,
+//! `1 << (q ^ 24)`). The target prefix is compared with `vpcmpeq` under
+//! a live-lane mask, so a batch of any length runs through the widest
+//! kernel and the search loop never materializes masks, candidates or
 //! prefixes. SHA-1 message words 8..16 (padding and length) are
 //! compile-time constants, and its rounds are written out so the schedule
 //! window stays in registers; two interleaved blocks hide the round
-//! chain's latency.
+//! chain's latency. The SHA-3 prescreen needs only the state's first lane,
+//! so its last round computes that lane alone.
 //!
 //! Vectors never cross into code compiled without AVX-512: every kernel
-//! step, the prescreens' compare included, runs inside one
+//! step, the prescreens' packing and compare included, runs inside one
 //! `#[target_feature]` function that hands back plain arrays or hit bits.
 //! Returning the 25-vector Keccak state to the plain wrapper and calling
 //! the compare intrinsic from there measured ~20% slower per hash in the
@@ -43,7 +51,7 @@ use crate::lanes::SHA1_H0;
 use crate::sha1::{Sha1Digest, DIGEST_LEN as SHA1_DIGEST_LEN};
 use crate::sha3::Sha3_256Digest;
 use core::arch::x86_64::*;
-use rbc_bits::U256;
+use rbc_bits::{MaskRun, U256};
 
 /// Whether this module's kernels may run on the current host (cached CPUID
 /// probe for AVX-512F).
@@ -98,27 +106,25 @@ fn bswap32(x: __m512i) -> __m512i {
     )
 }
 
-/// SHA-1 message words 0..8 of the 16 seeds `s_init ^ seeds[l]` starting
-/// at `seeds`: one `vpgatherdd` per word (lane `l` reads seed `l`), then
-/// the XOR and the byte swap to big-endian words.
+/// SHA-1 message words 0..8 of the 16 seeds at `seeds`: one
+/// `vpgatherdd` per word (lane `l` reads seed `l`), then the byte swap to
+/// big-endian words.
 ///
 /// # Safety
 ///
 /// AVX-512F must be present and `seeds` must point at 16 readable seeds.
 #[inline]
 #[target_feature(enable = "avx512f")]
-unsafe fn sha1_load_x16(seeds: *const U256, s_init: &U256) -> [__m512i; 8] {
+unsafe fn sha1_load_x16(seeds: *const U256) -> [__m512i; 8] {
     // Lane l's word i is u32 number 8·l + i from `seeds` (U256 is laid
     // out as its four little-endian limbs, and x86-64 is little-endian).
     let idx = _mm512_setr_epi32(0, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 88, 96, 104, 112, 120);
-    let init = s_init.limbs();
     let mut w = [_mm512_setzero_si512(); 8];
     for (i, slot) in w.iter_mut().enumerate() {
         // SAFETY: word i of all 16 seeds lies inside the 512 bytes the
         // caller guarantees readable.
         let words = unsafe { _mm512_i32gather_epi32::<4>(idx, seeds.cast::<u32>().add(i).cast()) };
-        let init_word = (init[i / 2] >> (32 * (i % 2))) as u32;
-        *slot = bswap32(_mm512_xor_si512(words, _mm512_set1_epi32(init_word as i32)));
+        *slot = bswap32(words);
     }
     w
 }
@@ -185,7 +191,7 @@ fn sha1_rounds<const B: usize>(head: &[[__m512i; 8]; B]) -> [[__m512i; 5]; B] {
 #[target_feature(enable = "avx512f")]
 fn sha1_words_x16(seeds: &[U256; 16]) -> [[u32; 16]; 5] {
     // SAFETY: `seeds` is 16 readable seeds.
-    let head = unsafe { sha1_load_x16(seeds.as_ptr(), &U256::ZERO) };
+    let head = unsafe { sha1_load_x16(seeds.as_ptr()) };
     let [s] = sha1_rounds::<1>(&[head]);
     let mut h = [[0u32; 16]; 5];
     for ((word, v), init) in h.iter_mut().zip(s).zip(SHA1_H0) {
@@ -225,87 +231,147 @@ pub fn sha1_fixed32_prefix64_x16(seeds: &[U256; 16]) -> [u64; 16] {
     out
 }
 
-/// The fused search step over `16·B` masks at `masks`: gathers and XORs
-/// the seeds in registers, runs the rounds, and compares `a`, `b` against
-/// the target's first two words minus `H0`. Returns one hit bit per lane,
-/// block-major (bit `l` of word `blk` is mask `16·blk + l`).
-///
-/// # Safety
-///
-/// AVX-512F must be present and `masks` must point at `16·B` readable
-/// masks.
+/// A batch's [`MaskRun`]s walked lane by lane: the prescreens take
+/// segments from it — the masks of one run that fit the lanes a vector
+/// has left — until a vector is full or the batch is done.
+struct Lanes<'a> {
+    runs: &'a [MaskRun],
+    /// Masks of `runs[0]` already handed out.
+    off: u32,
+}
+
+impl<'a> Lanes<'a> {
+    fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// The next at most `room` masks of the current run, as its base, the
+    /// first mask's moving-bit position and the count.
+    #[inline(always)]
+    fn segment(&mut self, room: u32) -> Option<(&'a U256, u32, u32)> {
+        let run = self.runs.first()?;
+        let span = run.span();
+        let q = span.start + self.off;
+        let take = (span.end - q).min(room);
+        self.off += take;
+        if q + take == span.end {
+            self.runs = &self.runs[1..];
+            self.off = 0;
+        }
+        Some((run.base(), q, take))
+    }
+}
+
+/// Pushes `base + l` for every set bit `l` of `bits`, ascending.
+#[inline(always)]
+fn push_hits(hits: &mut Vec<usize>, base: usize, mut bits: u32) {
+    while bits != 0 {
+        hits.push(base + bits.trailing_zeros() as usize);
+        bits &= bits - 1;
+    }
+}
+
+/// The lane mask of lanes `from..from + n`.
+#[inline(always)]
+fn lane_span(from: u32, n: u32) -> u32 {
+    (((1u64 << n) - 1) as u32) << from
+}
+
+/// SHA-1 message words 0..8 of the candidates `s_init ^ mask` for the
+/// next up to 16 masks of `lanes`, built in registers, and the mask of
+/// the lanes filled.
 #[inline]
 #[target_feature(enable = "avx512f")]
-unsafe fn sha1_hit_bits<const B: usize>(
-    s_init: &U256,
-    masks: *const U256,
-    target_prefix: u64,
-) -> [u16; B] {
-    let mut head = [[_mm512_setzero_si512(); 8]; B];
-    for (blk, h) in head.iter_mut().enumerate() {
-        // SAFETY: block `blk` reads masks 16·blk .. 16·blk + 16.
-        *h = unsafe { sha1_load_x16(masks.add(16 * blk), s_init) };
+fn sha1_pack_x16(lanes: &mut Lanes<'_>, s_init: &U256) -> ([__m512i; 8], u16) {
+    let iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let mut w = [_mm512_setzero_si512(); 8];
+    // Each lane's moving-bit position q.
+    let mut q = _mm512_setzero_si512();
+    let mut filled = 0;
+    while filled < 16 {
+        let Some((base, q0, take)) = lanes.segment(16 - filled) else { break };
+        let k = lane_span(filled, take) as u16;
+        let words = (*s_init ^ *base).limbs();
+        for (i, v) in w.iter_mut().enumerate() {
+            let word = (words[i / 2] >> (32 * (i % 2))) as u32;
+            *v = _mm512_mask_set1_epi32(*v, k, word.swap_bytes() as i32);
+        }
+        q = _mm512_mask_add_epi32(q, k, iota, _mm512_set1_epi32(q0 as i32 - filled as i32));
+        filled += take;
     }
-    let s = sha1_rounds::<B>(&head);
+    // Bit q is bit q % 32 of little-endian word q / 32 (none for
+    // q = 256), which the byte swap moves to bit (q % 32) ^ 24.
+    let word_of = _mm512_srli_epi32::<5>(q);
+    let shift = _mm512_xor_si512(_mm512_and_si512(q, _mm512_set1_epi32(31)), _mm512_set1_epi32(24));
+    let bit = _mm512_sllv_epi32(_mm512_set1_epi32(1), shift);
+    for (i, v) in w.iter_mut().enumerate() {
+        let k = _mm512_cmpeq_epi32_mask(word_of, _mm512_set1_epi32(i as i32));
+        *v = _mm512_mask_xor_epi32(*v, k, *v, bit);
+    }
+    (w, lane_span(0, filled) as u16)
+}
+
+/// The whole SHA-1 prescreen of `runs`: two 16-lane blocks per round
+/// call, one for a last block on its own.
+#[target_feature(enable = "avx512f")]
+fn sha1_run_hits(s_init: &U256, runs: &[MaskRun], target_prefix: u64, hits: &mut Vec<usize>) {
     // prefix64 = bswap(h0) | bswap(h1) << 32, so h0 and h1 are the byte
     // swaps of the prefix's halves; a and b must equal them minus H0.
     let ta = (target_prefix as u32).swap_bytes().wrapping_sub(SHA1_H0[0]);
     let tb = ((target_prefix >> 32) as u32).swap_bytes().wrapping_sub(SHA1_H0[1]);
     let (ta, tb) = (_mm512_set1_epi32(ta as i32), _mm512_set1_epi32(tb as i32));
-    let mut bits = [0u16; B];
-    for (blk, hit) in bits.iter_mut().enumerate() {
-        *hit = _mm512_cmpeq_epi32_mask(s[blk][0], ta) & _mm512_cmpeq_epi32_mask(s[blk][1], tb);
+    let mut lanes = Lanes { runs, off: 0 };
+    let mut done = 0;
+    while !lanes.is_empty() {
+        let (head0, live0) = sha1_pack_x16(&mut lanes, s_init);
+        if lanes.is_empty() {
+            let [s] = sha1_rounds::<1>(&[head0]);
+            let bits =
+                _mm512_mask_cmpeq_epi32_mask(live0, s[0], ta) & _mm512_cmpeq_epi32_mask(s[1], tb);
+            push_hits(hits, done, bits.into());
+            break;
+        }
+        let (head1, live1) = sha1_pack_x16(&mut lanes, s_init);
+        let s = sha1_rounds::<2>(&[head0, head1]);
+        for (blk, live) in [live0, live1].into_iter().enumerate() {
+            let bits = _mm512_mask_cmpeq_epi32_mask(live, s[blk][0], ta)
+                & _mm512_cmpeq_epi32_mask(s[blk][1], tb);
+            push_hits(hits, done + 16 * blk, bits.into());
+        }
+        done += 32;
     }
-    bits
 }
 
-/// Prefix hits over the front of `masks` in whole 32-mask groups, then
-/// one 16-mask group: pushes, in ascending order, every index `i` whose
-/// seed `s_init ^ masks[i]` has SHA-1 prefix `target_prefix`, and
-/// returns how many masks it consumed (a multiple of 16; the caller
-/// drains the rest with narrower kernels).
+/// The SHA-1 prescreen at this tier: pushes, in ascending batch order,
+/// every index `i` of the batch `runs` lists whose candidate
+/// `s_init ^ mask_i` has SHA-1 prefix `target_prefix`. Candidates are
+/// built, hashed and compared in registers, 32 lanes per round call
+/// (then 16), and the live-lane mask covers the tail, so every mask of
+/// the batch runs here.
 ///
 /// Panics if the host lacks AVX-512F.
 pub fn sha1_prefix_hits(
     s_init: &U256,
-    masks: &[U256],
+    runs: &[MaskRun],
     target_prefix: u64,
     hits: &mut Vec<usize>,
-) -> usize {
+) {
     assert!(available(), "AVX-512 kernel invoked on a host without AVX-512F");
-    let mut push = |base: usize, mut bits: u16| {
-        while bits != 0 {
-            hits.push(base + bits.trailing_zeros() as usize);
-            bits &= bits - 1;
-        }
-    };
-    let mut done = 0;
-    while masks.len() - done >= 32 {
-        // SAFETY: AVX-512F was asserted; masks[done..done + 32] exist.
-        let bits = unsafe { sha1_hit_bits::<2>(s_init, masks[done..].as_ptr(), target_prefix) };
-        push(done, bits[0]);
-        push(done + 16, bits[1]);
-        done += 32;
-    }
-    if masks.len() - done >= 16 {
-        // SAFETY: AVX-512F was asserted; masks[done..done + 16] exist.
-        let [bits] = unsafe { sha1_hit_bits::<1>(s_init, masks[done..].as_ptr(), target_prefix) };
-        push(done, bits);
-        done += 16;
-    }
-    done
+    // SAFETY: AVX-512F support was just asserted.
+    unsafe { sha1_run_hits(s_init, runs, target_prefix, hits) }
 }
 
 // ---------------------------------------------------------------------------
 // SHA3-256, 8-wide
 // ---------------------------------------------------------------------------
 
-/// Keccak-f[1600] over 8 interleaved states, one `__m512i` per lane
-/// position. Mirrors [`crate::keccak::round`] step for step, with native
-/// rotates (`vprolvq`) and fused χ (`vpternlogq`).
+/// The first `ROUNDS` rounds of Keccak-f[1600] over 8 interleaved
+/// states, one `__m512i` per lane position (all 24 make the
+/// permutation). Mirrors [`crate::keccak::round`] step for step, with
+/// native rotates (`vprolvq`) and fused χ (`vpternlogq`).
 #[target_feature(enable = "avx512f")]
-unsafe fn keccak_f1600_x8(a: &mut [__m512i; 25]) {
-    for rc in RC {
+fn keccak_x8<const ROUNDS: usize>(a: &mut [__m512i; 25]) {
+    for &rc in &RC[..ROUNDS] {
         // θ.
         let mut c = [_mm512_setzero_si512(); 5];
         for x in 0..5 {
@@ -351,30 +417,57 @@ unsafe fn keccak_f1600_x8(a: &mut [__m512i; 25]) {
     }
 }
 
-/// Runs the SHA3-256 fixed-32-byte sponge on the 8 seeds
-/// `s_init ^ seeds[l]` starting at `seeds`, gathered straight into the
-/// state (one `vpgatherqq` per seed limb), and returns the permuted state.
+/// Lane 0 of the state after one more Keccak round, without ι's
+/// constant: only θ's five column parities, `D[0..3]`, the three ρπ
+/// outputs `B[0..3]` that row 0's first lane reads, and one χ.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn keccak_lane0_round_x8(a: &[__m512i; 25]) -> __m512i {
+    let c: [__m512i; 5] = core::array::from_fn(|x| {
+        _mm512_ternarylogic_epi64::<TL_XOR3>(
+            _mm512_ternarylogic_epi64::<TL_XOR3>(a[x], a[x + 5], a[x + 10]),
+            a[x + 15],
+            a[x + 20],
+        )
+    });
+    let d = |x: usize| _mm512_xor_si512(c[(x + 4) % 5], _mm512_rol_epi64::<1>(c[(x + 1) % 5]));
+    // ρπ sends lanes (0,0), (1,1), (2,2) to B[0], B[1], B[2] of row 0.
+    let b0 = _mm512_xor_si512(a[0], d(0));
+    let b1 = _mm512_rolv_epi64(_mm512_xor_si512(a[6], d(1)), _mm512_set1_epi64(RHO[6] as i64));
+    let b2 = _mm512_rolv_epi64(_mm512_xor_si512(a[12], d(2)), _mm512_set1_epi64(RHO[12] as i64));
+    _mm512_ternarylogic_epi64::<TL_CHI>(b0, b1, b2)
+}
+
+/// The SHA3-256 fixed-32-byte sponge's state before the permutation:
+/// the 8 seeds at `seeds` gathered straight into lanes 0..4 (one
+/// `vpgatherqq` per seed limb), then the padding.
 ///
 /// # Safety
 ///
 /// AVX-512F must be present and `seeds` must point at 8 readable seeds.
 #[inline]
 #[target_feature(enable = "avx512f")]
-unsafe fn sha3_256_state_x8(seeds: *const U256, s_init: &U256) -> [__m512i; 25] {
+unsafe fn sha3_256_load_x8(seeds: *const U256) -> [__m512i; 25] {
     // Lane l's limb i is u64 number 4·l + i from `seeds` (U256 is laid
     // out as its limbs).
     let idx = _mm512_setr_epi64(0, 4, 8, 12, 16, 20, 24, 28);
     let mut state = [_mm512_setzero_si512(); 25];
-    for (i, (slot, init)) in state.iter_mut().zip(s_init.limbs()).enumerate() {
+    for (i, slot) in state[..4].iter_mut().enumerate() {
         // SAFETY: limb i of all 8 seeds lies inside the 256 bytes the
         // caller guarantees readable.
-        let limbs = unsafe { _mm512_i64gather_epi64::<8>(idx, seeds.cast::<u64>().add(i).cast()) };
-        *slot = _mm512_xor_si512(limbs, _mm512_set1_epi64(init as i64));
+        *slot = unsafe { _mm512_i64gather_epi64::<8>(idx, seeds.cast::<u64>().add(i).cast()) };
     }
-    state[4] = _mm512_set1_epi64(0x06); // domain separation + pad start at byte 32
-    state[16] = _mm512_set1_epi64(0x8000_0000_0000_0000_u64 as i64); // pad end at byte 135
-    keccak_f1600_x8(&mut state);
+    sha3_256_pad(&mut state);
     state
+}
+
+/// Writes the fixed-input padding lanes: domain separation and the pad
+/// start at byte 32, the pad end at byte 135.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn sha3_256_pad(state: &mut [__m512i; 25]) {
+    state[4] = _mm512_set1_epi64(0x06);
+    state[16] = _mm512_set1_epi64(0x8000_0000_0000_0000_u64 as i64);
 }
 
 /// The digest words (the permuted state's first four lanes) of 8 seeds,
@@ -382,7 +475,8 @@ unsafe fn sha3_256_state_x8(seeds: *const U256, s_init: &U256) -> [__m512i; 25] 
 #[target_feature(enable = "avx512f")]
 fn sha3_256_words_x8(seeds: &[U256; 8]) -> [[u64; 8]; 4] {
     // SAFETY: `seeds` is 8 readable seeds.
-    let state = unsafe { sha3_256_state_x8(seeds.as_ptr(), &U256::ZERO) };
+    let mut state = unsafe { sha3_256_load_x8(seeds.as_ptr()) };
+    keccak_x8::<24>(&mut state);
     [to_u64x8(state[0]), to_u64x8(state[1]), to_u64x8(state[2]), to_u64x8(state[3])]
 }
 
@@ -413,45 +507,67 @@ pub fn sha3_256_fixed32_prefix64_x8(seeds: &[U256; 8]) -> [u64; 8] {
     prefixes
 }
 
-/// The fused search step over 8 masks at `masks`: gathers and XORs the
-/// seeds into the state, permutes, and compares the first lane with
-/// `target_prefix`. Returns one hit bit per lane.
-///
-/// # Safety
-///
-/// AVX-512F must be present and `masks` must point at 8 readable masks.
+/// The sponge state of the candidates `s_init ^ mask` for the next up to
+/// 8 masks of `lanes`, built in registers, and the mask of the lanes
+/// filled.
+#[inline]
 #[target_feature(enable = "avx512f")]
-unsafe fn sha3_256_hit_bits(s_init: &U256, masks: *const U256, target_prefix: u64) -> u8 {
-    // SAFETY: the caller guarantees 8 readable masks.
-    let state = unsafe { sha3_256_state_x8(masks, s_init) };
-    _mm512_cmpeq_epi64_mask(state[0], _mm512_set1_epi64(target_prefix as i64))
+fn sha3_256_pack_x8(lanes: &mut Lanes<'_>, s_init: &U256) -> ([__m512i; 25], u8) {
+    let iota = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+    let mut state = [_mm512_setzero_si512(); 25];
+    // Each lane's moving-bit position q.
+    let mut q = _mm512_setzero_si512();
+    let mut filled = 0;
+    while filled < 8 {
+        let Some((base, q0, take)) = lanes.segment(8 - filled) else { break };
+        let k = lane_span(filled, take) as u8;
+        for (slot, limb) in state.iter_mut().zip((*s_init ^ *base).limbs()) {
+            *slot = _mm512_mask_set1_epi64(*slot, k, limb as i64);
+        }
+        q = _mm512_mask_add_epi64(q, k, iota, _mm512_set1_epi64(q0 as i64 - filled as i64));
+        filled += take;
+    }
+    // Bit q is bit q % 64 of limb q / 64 (none for q = 256).
+    let limb_of = _mm512_srli_epi64::<6>(q);
+    let bit = _mm512_sllv_epi64(_mm512_set1_epi64(1), _mm512_and_si512(q, _mm512_set1_epi64(63)));
+    for (i, slot) in state[..4].iter_mut().enumerate() {
+        let k = _mm512_cmpeq_epi64_mask(limb_of, _mm512_set1_epi64(i as i64));
+        *slot = _mm512_mask_xor_epi64(*slot, k, *slot, bit);
+    }
+    sha3_256_pad(&mut state);
+    (state, lane_span(0, filled) as u8)
 }
 
-/// Prefix hits over the front of `masks` in whole 8-mask groups: pushes,
-/// in ascending order, every index `i` whose seed `s_init ^ masks[i]`
-/// has SHA3-256 prefix `target_prefix` (the state's first lane, compared
-/// in registers), and returns how many masks it consumed (a multiple of
-/// 8; the caller drains the rest with narrower kernels).
+/// The whole SHA3-256 prescreen of `runs`, 8 lanes per Keccak call.
+#[target_feature(enable = "avx512f")]
+fn sha3_256_run_hits(s_init: &U256, runs: &[MaskRun], target_prefix: u64, hits: &mut Vec<usize>) {
+    // The digest prefix is lane 0; compare it before the last ι.
+    let target = _mm512_set1_epi64((target_prefix ^ RC[23]) as i64);
+    let mut lanes = Lanes { runs, off: 0 };
+    let mut done = 0;
+    while !lanes.is_empty() {
+        let (mut state, live) = sha3_256_pack_x8(&mut lanes, s_init);
+        keccak_x8::<23>(&mut state);
+        let bits = _mm512_mask_cmpeq_epi64_mask(live, keccak_lane0_round_x8(&state), target);
+        push_hits(hits, done, bits.into());
+        done += 8;
+    }
+}
+
+/// The SHA3-256 prescreen at this tier: [`sha1_prefix_hits`] under
+/// SHA3-256, 8 lanes per Keccak call. The first 23 rounds run in full;
+/// the last computes only lane 0, the digest prefix.
 ///
 /// Panics if the host lacks AVX-512F.
 pub fn sha3_256_prefix_hits(
     s_init: &U256,
-    masks: &[U256],
+    runs: &[MaskRun],
     target_prefix: u64,
     hits: &mut Vec<usize>,
-) -> usize {
+) {
     assert!(available(), "AVX-512 kernel invoked on a host without AVX-512F");
-    let groups = masks.chunks_exact(8);
-    let consumed = masks.len() - groups.remainder().len();
-    for (g, group) in groups.enumerate() {
-        // SAFETY: AVX-512F was asserted; `group` is 8 masks.
-        let mut bits = unsafe { sha3_256_hit_bits(s_init, group.as_ptr(), target_prefix) };
-        while bits != 0 {
-            hits.push(8 * g + bits.trailing_zeros() as usize);
-            bits &= bits - 1;
-        }
-    }
-    consumed
+    // SAFETY: AVX-512F support was just asserted.
+    unsafe { sha3_256_run_hits(s_init, runs, target_prefix, hits) }
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ pub mod sha3;
 pub mod shake;
 
 use core::fmt;
-use rbc_bits::U256;
+use rbc_bits::{MaskRun, U256};
 
 /// A hash function over 256-bit seeds, usable from data-parallel search
 /// engines (hence `Send + Sync`; implementations are stateless unit
@@ -96,22 +96,23 @@ pub trait SeedHash: Clone + Send + Sync + 'static {
     }
 
     /// The search loop's prescreen: clears `hits`, then pushes, in
-    /// ascending order, every index `i` whose candidate seed
-    /// `s_init ^ masks[i]` has digest prefix `target_prefix`.
+    /// ascending order, every index `i` of the batch `runs` lists (its
+    /// masks counted across runs) whose candidate seed `s_init ^ mask_i`
+    /// has digest prefix `target_prefix`.
     ///
     /// Default hashes each candidate with [`SeedHash::digest_prefix64`];
     /// the fixed-input hashers override with the fused kernels of
-    /// [`dispatch`], which never materialize the candidate seeds.
+    /// [`dispatch`], which never materialize the masks or candidates.
     fn prefix_hits(
         &self,
         s_init: &U256,
-        masks: &[U256],
+        runs: &[MaskRun],
         target_prefix: u64,
         hits: &mut Vec<usize>,
     ) {
         hits.clear();
-        for (i, mask) in masks.iter().enumerate() {
-            if self.digest_prefix64(&(*s_init ^ *mask)) == target_prefix {
+        for (i, mask) in runs.iter().flat_map(MaskRun::masks).enumerate() {
+            if self.digest_prefix64(&(*s_init ^ mask)) == target_prefix {
                 hits.push(i);
             }
         }
@@ -159,11 +160,11 @@ impl SeedHash for Sha1Fixed {
     fn prefix_hits(
         &self,
         s_init: &U256,
-        masks: &[U256],
+        runs: &[MaskRun],
         target_prefix: u64,
         hits: &mut Vec<usize>,
     ) {
-        dispatch::sha1_prefix_hits(s_init, masks, target_prefix, hits);
+        dispatch::sha1_prefix_hits(s_init, runs, target_prefix, hits);
     }
 }
 
@@ -220,11 +221,11 @@ impl SeedHash for Sha3Fixed {
     fn prefix_hits(
         &self,
         s_init: &U256,
-        masks: &[U256],
+        runs: &[MaskRun],
         target_prefix: u64,
         hits: &mut Vec<usize>,
     ) {
-        dispatch::sha3_256_prefix_hits(s_init, masks, target_prefix, hits);
+        dispatch::sha3_256_prefix_hits(s_init, runs, target_prefix, hits);
     }
 }
 
@@ -346,8 +347,8 @@ impl HashAlgo {
     }
 
     /// [`SeedHash::prefix_hits`] for this algorithm: clears `hits`, then
-    /// pushes, ascending, every `i` with
-    /// `digest_seed(&(s_init ^ masks[i])).prefix64() == target_prefix`.
+    /// pushes, ascending, every index `i` of the batch `runs` lists with
+    /// `digest_seed(&(s_init ^ mask_i)).prefix64() == target_prefix`.
     ///
     /// This is the runtime-dispatched entry to the fused prescreen
     /// kernels the batched search loop drives, one dynamic dispatch per
@@ -355,14 +356,14 @@ impl HashAlgo {
     pub fn prefix_hits(
         self,
         s_init: &U256,
-        masks: &[U256],
+        runs: &[MaskRun],
         target_prefix: u64,
         hits: &mut Vec<usize>,
     ) {
         match self {
-            HashAlgo::Sha1 => Sha1Fixed.prefix_hits(s_init, masks, target_prefix, hits),
-            HashAlgo::Sha3_256 => Sha3Fixed.prefix_hits(s_init, masks, target_prefix, hits),
-            HashAlgo::Sha256 => Sha256Fixed.prefix_hits(s_init, masks, target_prefix, hits),
+            HashAlgo::Sha1 => Sha1Fixed.prefix_hits(s_init, runs, target_prefix, hits),
+            HashAlgo::Sha3_256 => Sha3Fixed.prefix_hits(s_init, runs, target_prefix, hits),
+            HashAlgo::Sha256 => Sha256Fixed.prefix_hits(s_init, runs, target_prefix, hits),
         }
     }
 }
@@ -548,8 +549,9 @@ mod tests {
                 let masks = &seeds[1..n.max(1)];
                 let Some(last) = masks.last() else { continue };
                 let tp = algo.digest_seed(&(s_init ^ *last)).prefix64();
+                let runs: Vec<MaskRun> = masks.iter().copied().map(MaskRun::single).collect();
                 let mut hits = vec![usize::MAX];
-                algo.prefix_hits(&s_init, masks, tp, &mut hits);
+                algo.prefix_hits(&s_init, &runs, tp, &mut hits);
                 assert_eq!(hits, vec![masks.len() - 1], "{algo} prefix hits, n={n}");
             }
         }

@@ -1,11 +1,12 @@
 //! Property tests for the SIMD kernel family: every explicit kernel and
 //! every dispatch tier must be bit-identical to the scalar fixed-input
-//! reference — full digests and prefix64 variants, at every batch length
-//! — plus a forced-fallback test proving the portable path still runs
+//! reference — full digests and prefix64 variants, at every batch length,
+//! and the run prescreens over every batch shape —
+//! plus a forced-fallback test proving the portable path still runs
 //! (and still agrees) on AVX-capable hosts.
 
 use proptest::prelude::*;
-use rbc_bits::U256;
+use rbc_bits::{MaskRun, U256};
 use rbc_hash::dispatch::{self, SimdLevel};
 use rbc_hash::sha1::sha1_fixed32;
 use rbc_hash::sha3::sha3_256_fixed32;
@@ -30,6 +31,56 @@ fn expand_seeds(entropy: u64, n: usize) -> Vec<U256> {
         z ^ (z >> 31)
     };
     (0..n).map(|_| U256::from_limbs([next(), next(), next(), next()])).collect()
+}
+
+/// Up to `count` runs from one 64-bit value. A third are one mask long.
+/// Most start just below bit 32, 64 or 128, so their moving bit crosses
+/// into the next 32- or 64-bit word, or end at bit 255; the rest start
+/// anywhere. Each base holds random bits above its run's last position,
+/// and about one run in sixteen is the empty mask.
+fn runs_from(entropy: u64, count: usize) -> Vec<MaskRun> {
+    let words = expand_seeds(entropy, count);
+    words
+        .iter()
+        .map(|w| {
+            let [r, b0, b1, b2] = w.limbs();
+            if r % 16 == 0 {
+                return MaskRun::single(U256::ZERO);
+            }
+            let len = if r % 3 == 0 { 1 } else { 1 + (r >> 8) as u32 % 48 };
+            let lo = match (r >> 16) % 5 {
+                4 => 256 - len,
+                k @ 0..=2 => {
+                    let boundary = [32, 64, 128][k as usize];
+                    boundary - 1 - (r >> 24) as u32 % len.min(boundary)
+                }
+                _ => (r >> 24) as u32 % (257 - len),
+            };
+            let above = U256::MAX.shl(lo + len);
+            MaskRun::new(U256::from_limbs([b0, b1, b2, r]) & above, lo..lo + len)
+        })
+        .collect()
+}
+
+/// Inserts the one-mask run of `mask` so that it becomes mask `at` of the
+/// batch `runs` lists, splitting the run it lands in.
+fn insert_single(runs: &mut Vec<MaskRun>, mut at: usize, mask: U256) {
+    for r in 0..runs.len() {
+        let (base, span) = (*runs[r].base(), runs[r].span());
+        if at < span.len() {
+            let mid = span.start + at as u32;
+            if mid == span.start {
+                runs.insert(r, MaskRun::single(mask));
+            } else {
+                let halves =
+                    [MaskRun::new(base, span.start..mid), MaskRun::new(base, mid..span.end)];
+                runs.splice(r..=r, [halves[0], MaskRun::single(mask), halves[1]]);
+            }
+            return;
+        }
+        at -= span.len();
+    }
+    runs.push(MaskRun::single(mask));
 }
 
 /// Scalar digests and prefix64s for both algorithms, in input order.
@@ -73,32 +124,42 @@ proptest! {
         prop_assert_eq!(gp3, p3);
     }
 
-    /// The fused prescreens at every hardware-reachable tier pick exactly
+    /// The run prescreens at every hardware-reachable tier pick exactly
     /// the masks the scalar filter `prefix64(s_init ^ m) == tp` picks,
-    /// for 0..=100 masks (x32, x16, x8 and scalar drains in every mix):
-    /// for a target taken from one candidate, for a duplicated mask
-    /// (two ascending hits) and for a random target (no hit).
+    /// over batches of up to 12 runs ([`runs_from`]: runs crossing bits
+    /// 31/32, 63/64 and 127/128 or ending at bit 255, one-mask runs, the
+    /// empty mask, totals of any residue mod 8, 16 and 32). One
+    /// candidate's mask is inserted a second time, right after it (two
+    /// hits in one vector) or anywhere, the last mask included (a hit in
+    /// the last partial vector); its prefix hits both copies, and a random
+    /// target hits none.
     #[test]
     fn prefix_hits_match_the_scalar_filter_at_every_tier(
         entropy in 0u64..=u64::MAX,
-        n in 0usize..=100,
+        count in 0usize..=12,
         tier in 0usize..=2,
-        pick in 0usize..100,
-        dup in 0usize..100,
+        pick in 0usize..10_000,
+        pick_last in any::<bool>(),
+        adjacent in any::<bool>(),
+        at in 0usize..10_000,
         random_target in 0u64..=u64::MAX,
     ) {
         let _guard = force_lock();
         let s_init = expand_seeds(!entropy, 1)[0];
-        let mut masks = expand_seeds(entropy, n);
+        let mut runs = runs_from(entropy, count);
+        let total: usize = runs.iter().map(|r| r.span().len()).sum();
         let (mut targets1, mut targets3) = (vec![random_target], vec![random_target]);
-        if n > 0 {
-            let (pick, dup) = (pick % n, dup % n);
-            if pick != dup {
-                masks[dup] = masks[pick];
-            }
-            targets1.push(lanes::sha1_fixed32_prefix64(&(s_init ^ masks[pick])));
-            targets3.push(lanes::sha3_256_fixed32_prefix64(&(s_init ^ masks[pick])));
+        let mut planted = None;
+        if total > 0 {
+            let pick = if pick_last { total - 1 } else { pick % total };
+            let at = if adjacent { pick + 1 } else { at % (total + 1) };
+            let mask = MaskRun::nth(&runs, pick).unwrap();
+            insert_single(&mut runs, at, mask);
+            planted = Some((mask, [if at <= pick { pick + 1 } else { pick }, at]));
+            targets1.push(lanes::sha1_fixed32_prefix64(&(s_init ^ mask)));
+            targets3.push(lanes::sha3_256_fixed32_prefix64(&(s_init ^ mask)));
         }
+        let masks: Vec<U256> = runs.iter().flat_map(MaskRun::masks).collect();
         let filter = |prefix: fn(&U256) -> u64, tp: u64| -> Vec<usize> {
             (0..masks.len()).filter(|&i| prefix(&(s_init ^ masks[i])) == tp).collect()
         };
@@ -106,11 +167,11 @@ proptest! {
         let mut got = vec![usize::MAX];
         let mut results = Vec::new();
         for tp in &targets1 {
-            dispatch::sha1_prefix_hits(&s_init, &masks, *tp, &mut got);
+            dispatch::sha1_prefix_hits(&s_init, &runs, *tp, &mut got);
             results.push((got.clone(), filter(lanes::sha1_fixed32_prefix64, *tp)));
         }
         for tp in &targets3 {
-            dispatch::sha3_256_prefix_hits(&s_init, &masks, *tp, &mut got);
+            dispatch::sha3_256_prefix_hits(&s_init, &runs, *tp, &mut got);
             results.push((got.clone(), filter(lanes::sha3_256_fixed32_prefix64, *tp)));
         }
         dispatch::force_level(None);
@@ -118,13 +179,12 @@ proptest! {
             prop_assert_eq!(got, want);
         }
         prop_assert!(results[0].0.is_empty() && results[targets1.len()].0.is_empty());
-        if n > 0 {
-            // The candidate's own prefix hits it, and its duplicate.
-            let (pick, dup) = (pick % n, dup % n);
-            let mut expect = vec![pick.min(dup), pick.max(dup)];
-            expect.dedup();
-            prop_assert_eq!(&results[1].0, &expect);
-            prop_assert_eq!(&results[3].0, &expect);
+        if let Some((mask, at)) = planted {
+            // Both copies hit, and so does any mask the batch repeats.
+            let copies: Vec<usize> = (0..masks.len()).filter(|&i| masks[i] == mask).collect();
+            prop_assert!(at.iter().all(|i| copies.contains(i)), "{:?} in {:?}", at, copies);
+            prop_assert_eq!(&results[1].0, &copies);
+            prop_assert_eq!(&results[3].0, &copies);
         }
     }
 

@@ -1,6 +1,7 @@
 //! Property-based tests on the system's core invariants (proptest).
 
 use proptest::prelude::*;
+use rbc_salted::bits::MaskRun;
 use rbc_salted::comb::{
     binomial, colex_rank, colex_unrank, gosper_next, lex_rank, lex_unrank, plan_streams,
     SeedIterKind,
@@ -112,12 +113,13 @@ proptest! {
             h.digest_batch(seeds, &mut digests);
             let want: Vec<_> = seeds.iter().map(|s| h.digest_seed(s)).collect();
             assert_eq!(digests, want, "{}", H::NAME);
-            // The prescreen over the seeds as masks, against a target taken
-            // from the last candidate.
+            // The prescreen over the seeds as one-mask runs, against a
+            // target taken from the last candidate.
             let s_init = seeds.first().copied().unwrap_or(U256::ZERO);
             let tp = seeds.last().map_or(0, |m| h.digest_prefix64(&(s_init ^ *m)));
+            let runs: Vec<MaskRun> = seeds.iter().copied().map(MaskRun::single).collect();
             let mut hits = Vec::new();
-            h.prefix_hits(&s_init, seeds, tp, &mut hits);
+            h.prefix_hits(&s_init, &runs, tp, &mut hits);
             let want: Vec<usize> = (0..seeds.len())
                 .filter(|&i| h.digest_prefix64(&(s_init ^ seeds[i])) == tp)
                 .collect();
